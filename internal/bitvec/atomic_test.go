@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	stdbits "math/bits"
 	"sync"
 	"testing"
 )
@@ -86,8 +87,12 @@ func TestTestAndSetAtomicConcurrent(t *testing.T) {
 	}
 }
 
-// Concurrent take-vs-or: whatever the setters set is seen by exactly one
-// TakeWord, with no lost or duplicated bits. Run with -race.
+// Concurrent take-vs-or, checked by exact conservation: a setter that
+// re-sets a (word, bit) the taker has already drained makes a second fresh
+// set, which is legitimately taken a second time. So per (word, bit) the
+// number of takes must equal the number of fresh sets — those whose OrWord
+// returned the bit clear — and nothing may be left once the final sweep ran.
+// Run with -race.
 func TestTakeWordConcurrent(t *testing.T) {
 	const (
 		words   = 64
@@ -96,9 +101,13 @@ func TestTakeWordConcurrent(t *testing.T) {
 	)
 	v := New(words * 64)
 	var wg sync.WaitGroup
-	var takenMu sync.Mutex
-	taken := make([]uint64, words) // accumulated bits observed by takers
+	takes := make([]int, words*64) // owned by the taker until wg.Wait
 	stop := make(chan struct{})
+	take := func(w int) {
+		for bits := v.TakeWord(w); bits != 0; bits &= bits - 1 {
+			takes[w*64+stdbits.TrailingZeros64(bits)]++
+		}
+	}
 	wg.Add(1)
 	go func() { // taker
 		defer wg.Done()
@@ -107,49 +116,80 @@ func TestTakeWordConcurrent(t *testing.T) {
 			case <-stop:
 				// Final sweep after all setters are done.
 				for w := 0; w < words; w++ {
-					bits := v.TakeWord(w)
-					takenMu.Lock()
-					if taken[w]&bits != 0 {
-						t.Errorf("word %d: bits %#x taken twice", w, taken[w]&bits)
-					}
-					taken[w] |= bits
-					takenMu.Unlock()
+					take(w)
 				}
 				return
 			default:
 			}
 			for w := 0; w < words; w++ {
-				bits := v.TakeWord(w)
-				if bits == 0 {
-					continue
-				}
-				takenMu.Lock()
-				if taken[w]&bits != 0 {
-					t.Errorf("word %d: bits %#x taken twice", w, taken[w]&bits)
-				}
-				taken[w] |= bits
-				takenMu.Unlock()
+				take(w)
 			}
 		}
 	}()
+	fresh := make([][]int, setters) // per-setter fresh-set counts
 	var swg sync.WaitGroup
 	for s := 0; s < setters; s++ {
+		fresh[s] = make([]int, words*64)
 		swg.Add(1)
-		go func(s int) {
+		go func(s int, mine []int) {
 			defer swg.Done()
+			// Word and bit advance by one per round (mod words, mod 64), so
+			// every (word, bit) is re-set after the taker may have drained it.
+			w, bit := s*rounds%words, s*7%64
 			for r := 0; r < rounds; r++ {
-				w := (s*rounds + r) % words
-				v.OrWord(w, 1<<(uint(s*7+r)%64))
+				mask := uint64(1) << bit
+				if v.OrWord(w, mask)&mask == 0 {
+					mine[w*64+bit]++
+				}
+				w, bit = (w+1)%words, (bit+1)%64
 			}
-		}(s)
+		}(s, fresh[s])
 	}
 	swg.Wait()
 	close(stop)
 	wg.Wait()
+	sets, taken := 0, 0
+	for i := range takes {
+		want := 0
+		for s := range fresh {
+			want += fresh[s][i]
+		}
+		if takes[i] != want {
+			t.Errorf("word %d bit %d: taken %d times, freshly set %d times", i/64, i%64, takes[i], want)
+		}
+		sets += want
+		taken += takes[i]
+	}
+	if sets == 0 || sets != taken {
+		t.Errorf("fresh sets %d, takes %d", sets, taken)
+	}
 	// Every word must be fully drained.
 	for w := 0; w < words; w++ {
 		if got := v.LoadWord(w); got != 0 {
 			t.Fatalf("word %d still has bits %#x after final take", w, got)
 		}
+	}
+}
+
+// AndNotWord clears exactly the masked bits, reports the previous word, and
+// leaves the neighbouring word alone.
+func TestAndNotWord(t *testing.T) {
+	v := New(130)
+	v.OrWord(0, 0b1111)
+	v.OrWord(1, 1<<63|1)
+	if old := v.AndNotWord(0, 0b0101); old != 0b1111 {
+		t.Fatalf("AndNotWord old = %#x, want 0b1111", old)
+	}
+	if got := v.LoadWord(0); got != 0b1010 {
+		t.Fatalf("after AndNotWord word 0 = %#x, want 0b1010", got)
+	}
+	if old := v.AndNotWord(0, 0); old != 0b1010 || v.LoadWord(0) != 0b1010 {
+		t.Fatalf("empty mask changed the word: old %#x now %#x", old, v.LoadWord(0))
+	}
+	if v.AndNotWord(1, 1<<63); v.Test(127) || !v.Test(64) || v.LoadWord(0) != 0b1010 {
+		t.Fatalf("AndNotWord(1, 1<<63) cleared the wrong bits: %#x %#x", v.LoadWord(0), v.LoadWord(1))
+	}
+	if old := v.AndNotWord(2, ^uint64(0)); old != 0 || v.Count() != 3 {
+		t.Fatalf("AndNotWord on the clear tail word: old %#x, count %d", old, v.Count())
 	}
 }

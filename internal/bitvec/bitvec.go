@@ -130,6 +130,13 @@ func (v *Vector) OrWord(w int, mask uint64) uint64 {
 	return atomic.OrUint64(&v.bits[w], mask)
 }
 
+// AndNotWord atomically clears the bits of mask in backing word w and
+// returns the word's previous value. The garbage listing retracts a whole
+// word's worth of garbage allocation bits (Alloc &^ Mark) in one operation.
+func (v *Vector) AndNotWord(w int, mask uint64) uint64 {
+	return atomic.AndUint64(&v.bits[w], ^mask)
+}
+
 // TakeWord atomically reads and clears backing word w, returning the bits
 // that were set. It is the register-and-clear primitive of the concurrent
 // card-cleaning path: every bit set at the instant of the swap is observed

@@ -329,18 +329,18 @@ func (a *Arena) ZeroSlots(addr heapsim.Addr) {
 	}
 }
 
-// CardRange returns the object addresses [from, to) covered by a card,
-// clipped to the arena.
-func (a *Arena) CardRange(card int) (from, to heapsim.Addr) {
-	lo, hi := a.Cards.CardBounds(card)
-	if lo < 1 {
-		lo = 1
+// objectMask returns the bits of mark/allocation-vector word w that back
+// object addresses: bit 0 of word 0 is the nil address, and the bits of the
+// last word past numObjects back no object. A card is exactly one such word.
+func (a *Arena) objectMask(w int) uint64 {
+	m := ^uint64(0)
+	if w == 0 {
+		m &^= 1
 	}
-	if int(hi) > a.numObjects+1 {
-		hi = heapsim.Addr(a.numObjects + 1)
+	if n := a.numObjects + 1 - w*64; n <= 0 {
+		return 0
+	} else if n < 64 {
+		m &= 1<<uint(n) - 1
 	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	return m
 }

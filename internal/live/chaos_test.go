@@ -72,6 +72,13 @@ func TestChaosMatrix(t *testing.T) {
 			&LadderConfig{Enabled: true, BackpressureWait: 2 * time.Millisecond,
 				EmergencyMinFree: 1 << 13, EmergencyAfter: 1}},
 	}
+	// minHits gates a row on work done rather than on one wall-clock window:
+	// the run repeats (fresh engine, same plan, so hits accumulate) until
+	// every configured site was reached this many times. A site that a short
+	// window reaches only a handful of times would otherwise pass or fail on
+	// how much work fit in the window. The repeat is capped, so a site that
+	// is never reached still fails below instead of looping.
+	minHits := map[string]int64{"refill-stall": 32}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := faultinject.MustParse(tc.spec, 7)
@@ -79,30 +86,14 @@ func TestChaosMatrix(t *testing.T) {
 			if tc.ladder != nil {
 				cfg.Ladder = *tc.ladder
 			}
-			e := NewEngine(cfg)
-			rep := e.Run()
-			t.Logf("\n%s", rep)
-
-			if rep.Wedged {
-				t.Fatalf("run wedged in %s:\n%s", rep.WedgePhase, rep.WedgeDiagnosis)
-			}
-			if rep.LostObjects != 0 {
-				t.Errorf("oracle lost %d live objects under %q", rep.LostObjects, tc.spec)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("oracle: %s", v)
-			}
-			if rep.Cycles < 1 {
-				t.Error("no cycle completed")
-			}
-			if !e.Pool().TracingDone() || !e.Pool().DeferredEmpty() {
-				t.Error("packet pool not quiescent after Run")
-			}
-			if got := e.Pool().EntriesInUse(); got != 0 {
-				t.Errorf("%d packet entries still in flight after Run", got)
+			for run := 1; ; run++ {
+				rep := runChaosOnce(t, tc.spec, cfg)
+				if want := minHits[tc.name]; want == 0 || run == 50 || minExplicitHits(rep.Faults) >= want {
+					break
+				}
 			}
 			fired := false
-			for _, p := range rep.Faults {
+			for _, p := range plan.Snapshot() {
 				if p.Explicit && p.Fires > 0 {
 					fired = true
 				}
@@ -113,14 +104,55 @@ func TestChaosMatrix(t *testing.T) {
 			if !fired && tc.name != "jitter" {
 				t.Error("no configured fault fired — the chaos run exercised nothing")
 			}
-			// The degradation counters must reconcile across layers: every
-			// DirtyCardAtomic call is one of the engine's three degradations.
-			if want := rep.Overflows + rep.DeferOverflows + rep.RescanRedirties; rep.DirectDirties != want {
-				t.Errorf("card direct dirties %d != overflows %d + defer overflows %d + rescan redirties %d",
-					rep.DirectDirties, rep.Overflows, rep.DeferOverflows, rep.RescanRedirties)
-			}
 		})
 	}
+}
+
+// minExplicitHits returns the fewest hits of any explicitly configured site.
+func minExplicitHits(faults []faultinject.PointStat) int64 {
+	least := int64(-1)
+	for _, p := range faults {
+		if p.Explicit && p.Name != faultinject.Jitter && (least < 0 || p.Hits < least) {
+			least = p.Hits
+		}
+	}
+	return least
+}
+
+// runChaosOnce runs one engine under the chaos plan in cfg and checks what
+// must hold after any single run: no wedge, a clean oracle, a quiescent
+// pool, and reconciled degradation counters.
+func runChaosOnce(t *testing.T, spec string, cfg Config) Report {
+	t.Helper()
+	e := NewEngine(cfg)
+	rep := e.Run()
+	t.Logf("\n%s", rep)
+
+	if rep.Wedged {
+		t.Fatalf("run wedged in %s:\n%s", rep.WedgePhase, rep.WedgeDiagnosis)
+	}
+	if rep.LostObjects != 0 {
+		t.Errorf("oracle lost %d live objects under %q", rep.LostObjects, spec)
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("oracle: %s", v)
+	}
+	if rep.Cycles < 1 {
+		t.Error("no cycle completed")
+	}
+	if !e.Pool().TracingDone() || !e.Pool().DeferredEmpty() {
+		t.Error("packet pool not quiescent after Run")
+	}
+	if got := e.Pool().EntriesInUse(); got != 0 {
+		t.Errorf("%d packet entries still in flight after Run", got)
+	}
+	// The degradation counters must reconcile across layers: every
+	// DirtyCardAtomic call is one of the engine's three degradations.
+	if want := rep.Overflows + rep.DeferOverflows + rep.RescanRedirties; rep.DirectDirties != want {
+		t.Errorf("card direct dirties %d != overflows %d + defer overflows %d + rescan redirties %d",
+			rep.DirectDirties, rep.Overflows, rep.DeferOverflows, rep.RescanRedirties)
+	}
+	return rep
 }
 
 // TestChaosDeterministicFires runs the same plan twice over the same

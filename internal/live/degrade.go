@@ -387,8 +387,6 @@ func (e *Engine) runEmergencyCycle() bool {
 	activeStart := e.now()
 	e.cycleSeq.Add(1)
 	e.markingActive.Store(true)
-	e.scanRoots(drv)
-	drv.Release()
 	if !e.closeMark(drv) {
 		e.deg.setEmergency(e.now(), false)
 		e.abortWedged(drv, "emergency collection")

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -129,7 +130,10 @@ type Config struct {
 	PacketCap int // entries per packet
 
 	AllocBatch int // allocation-bit publication batch (Section 5.2)
-	CardPasses int // concurrent cleaning passes per cycle (Section 5.3)
+	// CardPasses is the number of concurrent cleaning passes per cycle
+	// (Section 5.3). Passes that only clean the collector's own packet
+	// overflow backlog run on top of it (see runCycle).
+	CardPasses int
 
 	Duration   time.Duration // total run length (the last cycle may overrun)
 	IdlePeriod time.Duration // mutator-only churn between cycles
@@ -392,6 +396,7 @@ type Engine struct {
 	lastFreed      int
 
 	oracleMarks *oracleScratch
+	toFree      []heapsim.Addr // collectGarbage's reused garbage list
 	report      Report
 }
 
@@ -651,14 +656,18 @@ func (e *Engine) kickoffWait(deadline time.Time) {
 	}
 }
 
-// runCycle is one full collection: STW init (clear marks, scan roots), the
-// concurrent mark phase with card-cleaning passes and deferred drains, the
-// STW final phase (closure, oracle, garbage collection), then concurrent
-// sweep of the garbage back onto the free list. It reports false when the
-// termination watchdog declared the cycle wedged and aborted the run.
+// runCycle is one full collection: STW init (clear marks, scan the mutator
+// roots), the concurrent mark phase (root blocks, then tracing with
+// card-cleaning passes and deferred drains), the STW final phase (closure,
+// oracle, garbage listing), then concurrent sweep of the garbage back onto
+// the free list. It reports false when the termination watchdog declared the
+// cycle wedged and aborted the run.
 func (e *Engine) runCycle() bool {
 	drv := workpack.NewTracer(e.pool)
 	cycleStart := e.now()
+	// Overflows are counted from here, so a first card pass that inherits
+	// the init root scan's overflow dirt is a backlog pass too.
+	overflowsSeen := e.stats.overflows.Load()
 
 	var cleanedAtStart int64
 	if e.pacer != nil {
@@ -677,14 +686,18 @@ func (e *Engine) runCycle() bool {
 	activeStart := e.now()
 	e.cycleSeq.Add(1)
 	e.markingActive.Store(true)
-	e.scanRoots(drv)
+	e.scanMutatorRoots(drv)
 	drv.Release()
 	initEnd := e.now()
 	e.resumeWorld()
 	e.noteSTW(initStart, initEnd)
 	e.span("stw.init", initStart, initEnd)
 
-	// --- Concurrent mark: tracers drain the pool while mutators run. ---
+	// --- Concurrent mark: the driver scans the root blocks, then tracers
+	// drain the pool while mutators run. Root blocks need no snapshot: the
+	// final pause rescans every root, and marking is incremental-update. ---
+	e.scanRootBlocks(drv)
+	drv.Release()
 	passes := 0
 	stall := time.Duration(0)
 	watch := e.newWedgeWatch()
@@ -697,9 +710,17 @@ func (e *Engine) runCycle() bool {
 			e.firstDoneNs.Store(0)
 		}
 		if e.pool.TracingDone() && e.pool.DeferredEmpty() {
-			if passes >= e.cfg.CardPasses {
+			// Cards dirtied by packet overflow (Section 4.3) are the
+			// collector's own backlog, not mutation: a pass that starts after
+			// overflows grew cleans them concurrently and does not count
+			// toward CardPasses. This terminates — an overflow follows a
+			// fresh mark, and marks never clear within a cycle.
+			overflows := e.stats.overflows.Load()
+			backlog := overflows != overflowsSeen
+			if passes >= e.cfg.CardPasses && !backlog {
 				break
 			}
+			overflowsSeen = overflows
 			// "As late as possible": clean cards only once tracing has
 			// drained, so each pass catches the most mutation.
 			passStart := e.now()
@@ -712,7 +733,9 @@ func (e *Engine) runCycle() bool {
 				e.span("card.pass", passStart, e.now())
 				e.firstDoneNs.Store(0)
 			}
-			passes++
+			if !backlog {
+				passes++
+			}
 			continue
 		}
 		time.Sleep(50 * time.Microsecond)
@@ -739,11 +762,15 @@ func (e *Engine) runCycle() bool {
 	// --- STW final: close the mark, run the oracle, collect garbage. ---
 	e.stopTheWorld()
 	finalStart := e.now()
+	marksAtFinal := e.stats.marks.Load()
 	if !e.closeMark(drv) {
 		e.abortWedged(drv, "final marking phase")
 		return false
 	}
+	e.report.FinalMarks += e.stats.marks.Load() - marksAtFinal
+	oracleStart := e.now()
 	res := e.runOracle()
+	e.span("oracle", oracleStart, e.now())
 	toFree := e.collectGarbage()
 	e.checkFreeConservation(len(toFree))
 	e.lastFreed = len(toFree)
@@ -753,7 +780,6 @@ func (e *Engine) runCycle() bool {
 	e.resumeWorld()
 	e.noteSTW(finalStart, finalEnd)
 	e.span("stw.final", finalStart, finalEnd)
-	e.span("oracle", finalStart, finalEnd)
 
 	// --- Concurrent sweep: garbage is unreachable, so zeroing and
 	// free-listing it races with nothing. The batch push costs one CAS per
@@ -779,14 +805,30 @@ func (e *Engine) runCycle() bool {
 }
 
 // closeMark reaches the marking fixpoint with the world stopped: caches are
-// already published (mutators publish as they park), so deferred work, the
-// remaining dirty cards and the roots are drained in rounds until nothing
-// moves. Registration needs no mutator fence here — the world is stopped.
-// It reports false when the fixpoint made no progress for the wedge
-// deadline (e.g. a tracer holding a packet hostage keeps TracingDone false
-// forever); the caller aborts via the watchdog instead of hanging CI.
+// already published (mutators publish as they park), so after one scan of
+// every root — the slots cannot change while the world is stopped — the
+// driver drains deferred work, the remaining dirty cards and the pool itself
+// in rounds until nothing moves. Registration needs no mutator fence here.
+// The driver traces alongside the tracers instead of sleeping, and yields
+// only while another tracer holds packets. It reports false when the
+// fixpoint made no progress for the wedge deadline (e.g. a tracer holding a
+// packet hostage keeps TracingDone false forever); the caller aborts via the
+// watchdog instead of hanging CI.
 func (e *Engine) closeMark(drv *workpack.Tracer) bool {
 	watch := e.newWedgeWatch()
+	e.scanMutatorRoots(drv)
+	e.scanRootBlocks(drv)
+	// The driver stands in for dedicated tracer 0 (defaults leave at least
+	// one): its scans go on that tracer's ledger and the dedicated word
+	// counter, so the attribution identities still hold.
+	led := e.tracerLedger(0)
+	var scanned int64
+	defer func() {
+		e.stats.traceDedicatedWords.Add(scanned * int64(e.arena.refsPer))
+		if e.pacer != nil && scanned > 0 {
+			e.pacer.noteTraced(scanned)
+		}
+	}()
 	for {
 		work := false
 		if e.pool.DrainDeferred() > 0 {
@@ -800,15 +842,27 @@ func (e *Engine) closeMark(drv *workpack.Tracer) bool {
 			}
 			e.arena.Cards.NoteCleanedAtomic(len(e.cardBuf))
 		}
-		e.scanRoots(drv)
+		for {
+			a, ok := drv.Pop()
+			if !ok {
+				break
+			}
+			work = true
+			if e.scanObject(a, drv) {
+				led.NoteTraced(int64(e.arena.refsPer))
+				scanned++
+			}
+		}
 		drv.Release()
 		if !e.pool.TracingDone() || !e.pool.DeferredEmpty() {
-			// Tracers are still running during the pause; let them drain —
-			// but not forever.
+			// Another tracer still holds packets (or deferred work awaits the
+			// next round's drain) — but not forever.
 			if watch.stalled() {
 				return false
 			}
-			time.Sleep(20 * time.Microsecond)
+			if !e.pool.TracingDone() {
+				runtime.Gosched()
+			}
 			continue
 		}
 		if !work && e.arena.Cards.CountDirtyAtomic() == 0 {
@@ -840,18 +894,21 @@ func (e *Engine) cardPassConcurrent(drv *workpack.Tracer) (cleaned, ok bool) {
 	return true, true
 }
 
-// rescanCard retraces the marked objects on one registered card. Unmarked
-// objects are skipped: they are either garbage or will be scanned with
-// fresh slot values when tracing reaches them. A marked object whose
-// allocation bits are not yet visible cannot be scanned; its card is
-// re-dirtied so a later pass (at the latest, the STW final phase, after
-// every cache has published) retries.
+// A card spans exactly one 64-bit mark-vector word (compile-time check).
+const _ = uint(cardtable.CardWords-64) + uint(64-cardtable.CardWords)
+
+// rescanCard retraces the marked objects on one registered card. A card is
+// exactly one mark-vector word, so it walks that word's set bits. Unmarked
+// objects — including any marked after the word was loaded — are skipped:
+// they are either garbage or grey, and will be scanned with fresh slot
+// values when tracing reaches them. A marked object whose allocation bits
+// are not yet visible cannot be scanned; its card is re-dirtied so a later
+// pass (at the latest, the STW final phase, after every cache has
+// published) retries.
 func (e *Engine) rescanCard(card int, tr *workpack.Tracer) {
-	from, to := e.arena.CardRange(card)
-	for a := from; a < to; a++ {
-		if !e.arena.Mark.TestAcquire(int(a)) {
-			continue
-		}
+	marked := e.arena.Mark.LoadWord(card) & e.arena.objectMask(card)
+	for ; marked != 0; marked &= marked - 1 {
+		a := heapsim.Addr(card*64 + bits.TrailingZeros64(marked))
 		if !e.arena.Alloc.TestAcquire(int(a)) {
 			e.arena.Cards.DirtyCardAtomic(card)
 			e.stats.rescanRedirty.Add(1)
@@ -866,11 +923,10 @@ func (e *Engine) rescanCard(card int, tr *workpack.Tracer) {
 	}
 }
 
-// scanRoots marks and pushes every current root of every mutator. During
-// STW init this is the snapshot the cycle traces from; in the final phase
-// it is the root rescan that closes the cycle (marking is monotone, so
-// repeated scans are cheap no-ops).
-func (e *Engine) scanRoots(tr *workpack.Tracer) {
+// scanMutatorRoots marks and pushes every current root of every mutator.
+// During STW init this is the snapshot the cycle traces from; in the final
+// phase it is part of the root rescan that closes the cycle.
+func (e *Engine) scanMutatorRoots(tr *workpack.Tracer) {
 	for _, m := range e.muts {
 		for i := range m.roots {
 			if c := heapsim.Addr(m.roots[i].Load()); c != heapsim.Nil {
@@ -878,6 +934,12 @@ func (e *Engine) scanRoots(tr *workpack.Tracer) {
 			}
 		}
 	}
+}
+
+// scanRootBlocks marks and pushes every slot of the external root blocks (a
+// server store's bucket heads). A cycle scans them concurrently, right after
+// STW init; the final pause rescans them with the mutator roots.
+func (e *Engine) scanRootBlocks(tr *workpack.Tracer) {
 	for _, rs := range e.extraRoots {
 		for i := range rs.slots {
 			if c := heapsim.Addr(rs.slots[i].Load()); c != heapsim.Nil {
@@ -951,11 +1013,12 @@ func (e *Engine) payAllocTax(m *mutator, allocObjs int64) {
 }
 
 // markAndPush claims an object with one atomic fetch-or and queues it for
-// scanning. On packet overflow (both packets full, pool exhausted) it
-// degrades per Section 4.3: the mark stands and the object's card is
-// dirtied so a cleaning pass rescans it.
+// scanning. An atomic load first skips already-marked objects without
+// writing their mark word. On packet overflow (both packets full, pool
+// exhausted) it degrades per Section 4.3: the mark stands and the object's
+// card is dirtied so a cleaning pass rescans it.
 func (e *Engine) markAndPush(c heapsim.Addr, tr *workpack.Tracer) {
-	if !e.arena.Mark.TestAndSetAtomic(int(c)) {
+	if e.arena.Mark.TestAcquire(int(c)) || !e.arena.Mark.TestAndSetAtomic(int(c)) {
 		return
 	}
 	e.stats.marks.Add(1)
@@ -1102,7 +1165,10 @@ func (e *Engine) traceLoop(id int, bg bool) {
 				}
 			}
 		}
-		if bg {
+		if bg && !e.stopFlag.Load() {
+			// No throttle while the world is stopped: there is no mutator
+			// to cede the processor to, and the pause waits on every packet
+			// this tracer holds.
 			time.Sleep(e.bgSleep(e.cfg.BgThrottle / 4))
 		}
 	}

@@ -139,8 +139,11 @@ func (mt *Mut) Retire() {
 
 // RootSet is a block of collector root slots owned by external code rather
 // than any one mutator — a server store's per-shard bucket heads, pinned
-// for as long as the structure lives. Slots are atomics: any goroutine may
-// Set while the driver scans. Register before Run via Engine.NewRootSet.
+// for as long as the structure lives. Slots are atomics: a mutator may Set
+// while the driver scans them concurrently, right after STW init; the final
+// pause rescans every slot once, with the world stopped, so a Set must come
+// from a goroutine that polls safepoints (a Mut's) to be seen by that
+// rescan. Register before Run via Engine.NewRootSet.
 type RootSet struct {
 	slots []atomic.Uint32
 }

@@ -60,15 +60,22 @@ func TestArenaFreeListConcurrent(t *testing.T) {
 	}
 }
 
-func TestArenaCardRange(t *testing.T) {
+// A card is one mark-vector word; objectMask keeps only the bits that back
+// objects — not the nil address in card 0, nor the bits past the last object.
+func TestArenaObjectMask(t *testing.T) {
 	a := NewArena(100, 2)
-	from, to := a.CardRange(0)
-	if from != 1 || to != 64 {
-		t.Fatalf("card 0 covers [%d,%d), want [1,64)", from, to)
+	if got, want := a.objectMask(0), ^uint64(1); got != want {
+		t.Fatalf("card 0 mask %#x, want %#x (objects [1,64))", got, want)
 	}
-	from, to = a.CardRange(1)
-	if from != 64 || to != 101 {
-		t.Fatalf("card 1 covers [%d,%d), want [64,101)", from, to)
+	if got, want := a.objectMask(1), uint64(1)<<37-1; got != want {
+		t.Fatalf("card 1 mask %#x, want %#x (objects [64,101))", got, want)
+	}
+	if got := a.objectMask(2); got != 0 {
+		t.Fatalf("card 2 (past the arena) mask %#x, want 0", got)
+	}
+	full := NewArena(127, 2)
+	if got := full.objectMask(1); got != ^uint64(0) {
+		t.Fatalf("127-object arena: card 1 mask %#x, want every bit (objects [64,128))", got)
 	}
 }
 

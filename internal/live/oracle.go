@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"mcgc/internal/bitvec"
@@ -74,24 +75,39 @@ func (e *Engine) runOracle() OracleResult {
 		}
 	}
 
+	return e.compareMarks(sc.marks, live)
+}
+
+// compareMarks checks the concurrent mark against the ground-truth
+// reachability vector a word at a time: reach &^ mark is lost, mark &^ reach
+// is floating garbage, and the allocation-bit checks ride on the same words.
+// It descends to single bits only for a nonzero violation mask, in address
+// order, so the violations read exactly as a per-object scan would list them.
+func (e *Engine) compareMarks(reach *bitvec.Vector, live int) OracleResult {
 	res := OracleResult{Live: live}
 	hadViolations := len(e.report.Violations)
-	for a := 1; a <= e.arena.numObjects; a++ {
-		reachable := sc.marks.Test(a)
-		marked := e.arena.Mark.Test(a)
-		switch {
-		case reachable && !marked:
-			res.Lost++
-			e.violation("cycle %d: live object %d not marked by concurrent trace (%s)",
-				e.report.Cycles, a, e.describeObject(heapsim.Addr(a)))
-		case reachable && !e.arena.Alloc.Test(a):
-			e.violation("cycle %d: live object %d has no allocation bit (%s)",
-				e.report.Cycles, a, e.describeObject(heapsim.Addr(a)))
-		case marked && !reachable:
-			res.Floating++
-			if !e.arena.Alloc.Test(a) {
+	for w := 0; w < e.arena.Mark.Words(); w++ {
+		valid := e.arena.objectMask(w)
+		r := reach.LoadWord(w) & valid
+		mark := e.arena.Mark.LoadWord(w) & valid
+		alloc := e.arena.Alloc.LoadWord(w)
+		lost := r &^ mark
+		floating := mark &^ r
+		res.Lost += bits.OnesCount64(lost)
+		res.Floating += bits.OnesCount64(floating)
+		for bad := lost | (r|floating)&^alloc; bad != 0; bad &= bad - 1 {
+			i := bits.TrailingZeros64(bad)
+			b, a := uint64(1)<<i, heapsim.Addr(w*64+i)
+			switch {
+			case lost&b != 0:
+				e.violation("cycle %d: live object %d not marked by concurrent trace (%s)",
+					e.report.Cycles, a, e.describeObject(a))
+			case r&b != 0:
+				e.violation("cycle %d: live object %d has no allocation bit (%s)",
+					e.report.Cycles, a, e.describeObject(a))
+			default:
 				e.violation("cycle %d: marked object %d has no allocation bit (%s)",
-					e.report.Cycles, a, e.describeObject(heapsim.Addr(a)))
+					e.report.Cycles, a, e.describeObject(a))
 			}
 		}
 	}
@@ -138,17 +154,24 @@ func (e *Engine) oracleContext() string {
 		e.stats.overflows.Load())
 }
 
-// collectGarbage lists every allocated, unmarked object and retracts its
-// allocation bit, still under the stopped world. The returned objects are
-// unreachable by construction, so the caller frees them concurrently.
+// collectGarbage lists every allocated, unmarked object (Alloc &^ Mark, a
+// word at a time) and retracts its allocation bits, still under the stopped
+// world. The returned objects are unreachable by construction, so the caller
+// frees them concurrently. The list reuses one buffer across cycles; it is
+// valid until the next call.
 func (e *Engine) collectGarbage() []heapsim.Addr {
-	var toFree []heapsim.Addr
-	for a := 1; a <= e.arena.numObjects; a++ {
-		if e.arena.Alloc.Test(a) && !e.arena.Mark.Test(a) {
-			e.arena.Alloc.Clear(a)
-			toFree = append(toFree, heapsim.Addr(a))
+	toFree := e.toFree[:0]
+	for w := 0; w < e.arena.Alloc.Words(); w++ {
+		garbage := e.arena.Alloc.LoadWord(w) &^ e.arena.Mark.LoadWord(w) & e.arena.objectMask(w)
+		if garbage == 0 {
+			continue
+		}
+		e.arena.Alloc.AndNotWord(w, garbage)
+		for ; garbage != 0; garbage &= garbage - 1 {
+			toFree = append(toFree, heapsim.Addr(w*64+bits.TrailingZeros64(garbage)))
 		}
 	}
+	e.toFree = toFree
 	return toFree
 }
 

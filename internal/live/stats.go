@@ -69,6 +69,11 @@ type Report struct {
 	Scans    int64
 	Rescans  int64
 	Deferred int64
+	// FinalMarks is the part of Marks made inside the STW final pauses of
+	// concurrent cycles (emergency collections excluded: they mark
+	// everything in their pause). It is the marking the concurrent phase
+	// left behind.
+	FinalMarks int64
 
 	DeferredDrains int64
 	Overflows      int64

@@ -79,6 +79,7 @@ func (e *Engine) flushTelemetry() {
 	set("live.objects_freed", r.ObjectsFreed)
 	set("live.alloc_failed", r.AllocFailed)
 	set("live.marks", r.Marks)
+	set("live.final_marks", r.FinalMarks)
 	set("live.scans", r.Scans)
 	set("live.rescans", r.Rescans)
 	set("live.deferred", r.Deferred)

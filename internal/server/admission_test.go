@@ -84,6 +84,63 @@ func TestEvictOldest(t *testing.T) {
 	}
 }
 
+// TestEvictionFIFOBounded churns a few keys through many delete/re-put
+// rounds: the shard's eviction FIFO must stay within its compaction bound
+// (about twice the live keys) instead of growing with the requests served,
+// and eviction must still take the never-deleted keys first, in insertion
+// order, then every churned key exactly once.
+func TestEvictionFIFOBounded(t *testing.T) {
+	eng := live.NewEngine(live.Config{
+		Objects:     1 << 15,
+		ExtMutators: 1,
+		Tracers:     1,
+		Duration:    10 * time.Millisecond,
+	})
+	st := NewStore(eng, StoreConfig{Shards: 1, Buckets: 16, ValueObjs: 1})
+	m := eng.ExtMutator(0)
+	sh := &st.shards[0]
+	put := func(k uint64) {
+		if !st.Put(m, k) {
+			t.Fatalf("put %d failed", k)
+		}
+	}
+
+	const old, churned, rounds = 8, 8, 2000
+	for k := uint64(0); k < old; k++ {
+		put(k)
+	}
+	maxLen := 0
+	for r := 0; r < rounds; r++ {
+		k := uint64(100 + r%churned)
+		if r >= churned && !st.Delete(m, k) {
+			t.Fatalf("round %d: delete %d failed", r, k)
+		}
+		put(k)
+		maxLen = max(maxLen, len(sh.order))
+	}
+	if bound := 2*(old+churned) + 64 + 1; maxLen > bound {
+		t.Fatalf("eviction FIFO reached %d entries for %d live keys (bound %d)", maxLen, old+churned, bound)
+	}
+
+	for k := uint64(0); k < old; k++ {
+		if got := st.EvictOldest(m, 1); got != 1 {
+			t.Fatalf("evict #%d removed %d entries", k, got)
+		}
+		if _, ok := sh.index[k]; ok {
+			t.Fatalf("evict #%d did not take key %d, the oldest", k, k)
+		}
+		if got, want := st.Len(), old+churned-int(k)-1; got != want {
+			t.Fatalf("after evict #%d: %d entries, want %d", k, got, want)
+		}
+	}
+	if got := st.EvictOldest(m, old+churned); got != churned {
+		t.Fatalf("drain evicted %d churned keys, want %d", got, churned)
+	}
+	if st.Len() != 0 {
+		t.Fatalf("%d entries left after drain", st.Len())
+	}
+}
+
 // TestAdmissionShedsUnderOverload runs the full stack at 2x offered load with
 // an aggressive watermark: admission control must shed real traffic, the
 // request accounting identity must absorb the sheds as failures, and the run

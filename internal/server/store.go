@@ -69,8 +69,34 @@ type storeShard struct {
 	// linger as stale entries and are skipped lazily when popped; a key
 	// deleted and re-put appears twice, and the first pop evicts whichever
 	// entry is live then. All approximations in the direction that matters:
-	// eviction is an emergency-recovery path, not an LRU.
+	// eviction is an emergency-recovery path, not an LRU. compactOrder bounds
+	// the stale backlog, so the FIFO stays proportional to the live keys
+	// rather than to the requests served.
 	order []uint64
+}
+
+// compactOrder rewrites the shard's FIFO in place once it holds more than
+// about twice the live keys: stale keys and later duplicates go, and the
+// first occurrence of every live key keeps its position — the order
+// EvictOldest would have evicted in. Caller holds the shard lock. The
+// threshold makes the cost amortized O(1) per insert.
+func (sh *storeShard) compactOrder() {
+	if len(sh.order) <= 2*len(sh.index)+64 {
+		return
+	}
+	kept := make(map[uint64]struct{}, len(sh.index))
+	out := sh.order[:0]
+	for _, k := range sh.order {
+		if _, live := sh.index[k]; !live {
+			continue
+		}
+		if _, dup := kept[k]; dup {
+			continue
+		}
+		kept[k] = struct{}{}
+		out = append(out, k)
+	}
+	sh.order = out
 }
 
 // NewStore builds the store and registers its per-shard root sets with the
@@ -155,6 +181,7 @@ func (s *Store) Put(m *live.Mut, key uint64) bool {
 		s.unlink(m, sh, b, old)
 	} else {
 		sh.order = append(sh.order, key)
+		sh.compactOrder()
 	}
 	sh.mu.Unlock()
 	return true

@@ -10,9 +10,9 @@ GO ?= go
 # that drive it.
 RACE_PKGS = ./internal/runner ./internal/workpack ./internal/weakmem ./internal/core ./internal/gctrace ./internal/live ./internal/bitvec ./internal/cardtable ./internal/server
 
-.PHONY: ci vet build test race smoke trace-smoke stress-smoke chaos-smoke pacing-smoke balance-smoke balance-bench serve-smoke serve-bench overload-smoke overload-bench slo-smoke distill-smoke distill-bench bench fmt
+.PHONY: ci vet build test race smoke trace-smoke stress-smoke chaos-smoke pacing-smoke balance-smoke balance-bench serve-smoke serve-bench overload-smoke overload-bench distill-smoke distill-bench bench fmt
 
-ci: vet build test race smoke trace-smoke stress-smoke chaos-smoke pacing-smoke balance-smoke serve-smoke overload-smoke slo-smoke distill-smoke
+ci: vet build test race smoke trace-smoke stress-smoke chaos-smoke pacing-smoke balance-smoke serve-smoke overload-smoke distill-smoke
 
 vet:
 	$(GO) vet ./...
@@ -103,15 +103,15 @@ pacing-smoke:
 # Exercise the per-tracer work-flow accounting end to end, in two legs.
 # Leg 1 puts the accounting itself under the race detector: a paced gcstress
 # run at 8 tracers (plus a background tracer and mutator-tax workers) with
-# both sinks attached; gcstats -balance must report the skew and termination
-# fields, and -check must accept the per-worker trace tracks (proper nesting,
-# one worker per track). Leg 2 is the hoard A/B gate on the regular binary —
-# the race detector's ~10x slowdown would drown the microsecond-scale
-# termination timing — three fixed seeds per arm cat'ed into one file, then
-# -check-hoard requires the pool.hoard runs to show strictly worse words-Gini
-# AND strictly worse mean termination latency than the clean runs, while the
-# engine's own STW oracle and quiescence identities still pass inside every
-# run.
+# both sinks attached; gcstats balance must report the skew and termination
+# fields, and gcstats check must accept the per-worker trace tracks (proper
+# nesting, one worker per track). Leg 2 is the hoard A/B gate on the regular
+# binary — the race detector's ~10x slowdown would drown the
+# microsecond-scale termination timing — three fixed seeds per arm cat'ed
+# into one file, then gcstats check-hoard requires the pool.hoard runs to
+# show strictly worse words-Gini AND strictly worse mean termination latency
+# than the clean runs, while the engine's own STW oracle and quiescence
+# identities still pass inside every run.
 BALANCE_AB = -duration 1s -mutators 3 -tracers 4 -bg 0 -objects 8192 -roots 48 \
 	-packets 32 -packetcap 8 -localcache -1 -timeout 120s
 
@@ -161,7 +161,7 @@ balance-bench:
 # gcserve run (closed-loop clients with Zipfian skew and churn driving the
 # sharded store on the live heap) that must complete real requests
 # (-min-ops), keep the request accounting identity, and pass the per-cycle
-# STW oracle; gcstats -latency must then reduce the metrics to throughput,
+# STW oracle; gcstats latency must then reduce the metrics to throughput,
 # the latency tail and the pause correlation.
 serve-smoke:
 	$(GO) run -race ./cmd/gcserve -clients 16 -duration 2s -objects 32768 \
@@ -199,7 +199,7 @@ serve-bench:
 # 10% headroom watermark. -require-degraded fails the run unless load was
 # actually shed AND an emergency collection actually ran, -require-faults
 # fails it unless the amplifier fired, the STW oracle fails it on any lost
-# object, and the watchdog must never trip. gcstats -degradation must then
+# object, and the watchdog must never trip. gcstats degradation must then
 # reduce the metrics to the time-in-state ladder view.
 OVERLOAD_LADDER = -ladder -bp-wait 2ms -emergency-min 16384 -emergency-after 1 \
 	-admission -shed-watermark 0.10
@@ -247,23 +247,6 @@ overload-bench:
 	@rm -f /tmp/gcoverload-cell.jsonl /tmp/gcoverload-bench.jsonl /tmp/gcserve-ob /tmp/gcstats-ob
 	@echo "overload-bench: wrote BENCH_overload.json"
 
-# Exercise the SLO pacing policy end to end under the race detector: gcserve
-# paces on pacing.SLOPolicy (-slo-p99 selects it over the formula), the load
-# generator streams each 20ms window's worst request latency into the
-# controller, and -require-slo fails the run unless the policy observed
-# windows AND the merged p99 met the target. The 50ms target is deliberately
-# generous: the race detector's ~10x slowdown on one core inflates every
-# latency, and the smoke gates the feedback loop's plumbing, not a tuned
-# tail. The report greps then require the controller to have visibly run.
-slo-smoke:
-	$(GO) run -race ./cmd/gcserve -clients 16 -duration 2s -objects 32768 \
-		-slo-p99 50ms -require-slo -min-ops 1000 -timeout 120s -seed 11 \
-		> /tmp/gcslo-smoke.out
-	@cat /tmp/gcslo-smoke.out
-	@grep -q "pacing\[slo\]:" /tmp/gcslo-smoke.out || { echo "slo-smoke: report does not show the slo policy in charge"; exit 1; }
-	@grep -Eq "slo: windows [1-9]" /tmp/gcslo-smoke.out || { echo "slo-smoke: controller observed no latency windows"; exit 1; }
-	@rm -f /tmp/gcslo-smoke.out
-
 # Exercise the cost-distillation harness end to end: one paced gcserve run
 # plus its collection-disabled baseline (arena sized from the real run's
 # measured allocations), with the distilled record appended as JSON and
@@ -278,8 +261,8 @@ distill-smoke:
 	@grep -q "FRONTIER" /tmp/gcdistill-smoke.out || { echo "distill-smoke: no frontier cell in pareto output"; exit 1; }
 	@rm -f /tmp/gcdistill-smoke.jsonl /tmp/gcdistill-smoke.out
 
-# Distilled-cost sweep (Cai & Blackburn): formula K0 in {4,8,16} against SLO
-# targets {1ms,5ms} on the same server workload and seed. Every cell is a
+# Distilled-cost sweep (Cai & Blackburn): formula K0 in {4,8,16} on the same
+# server workload and seed. Every cell is a
 # -distill pair — the measured run plus its collection-disabled ideal — and
 # gcstats pareto reduces the cells to the Pareto curve of collector CPU
 # overhead vs request p99, with the frontier-annotated records landing in
@@ -298,11 +281,6 @@ distill-bench:
 		for k in 4 8 16; do \
 			echo "distill-bench: formula k0=$$k (rep $$rep)"; \
 			/tmp/gcserve-db $(DISTILL_CELL) -k0 $$k -name "formula/k0=$$k" \
-				-distill -distill-json /tmp/gcdistill-bench.jsonl >/dev/null || exit 1; \
-		done; \
-		for t in 1ms 5ms; do \
-			echo "distill-bench: slo p99=$$t (rep $$rep)"; \
-			/tmp/gcserve-db $(DISTILL_CELL) -slo-p99 $$t -name "slo/p99=$$t" \
 				-distill -distill-json /tmp/gcdistill-bench.jsonl >/dev/null || exit 1; \
 		done; \
 	done

@@ -4,20 +4,17 @@
 // skew, a configurable read/write mix, phase-locked request bursts and
 // connection churn (internal/server). Every request is timed; the run's
 // server.req_ns latency histogram and server.* counters land in the metrics
-// JSONL next to the collector's own counters, and gcstats -latency reads
+// JSONL next to the collector's own counters, and gcstats latency reads
 // them back to correlate GC pauses with request-latency tails.
 //
 // The per-cycle STW oracle stays armed: a run that loses a live store entry
 // or session object exits 1, a wedged run exits 2, exactly like gcstress.
 //
-// Two modes beyond plain measurement close the loop between the collector
-// and the traffic it serves. With -slo-p99 the engine paces on the SLO
-// policy: the load generator streams each 20ms window's worst request
-// latency into the policy (pacing.LatencyObserver), which trades collector
-// CPU for tail latency against the target. With -distill the same seeded
-// workload re-runs with collection disabled on an arena sized to never
-// collect (Cai & Blackburn's ideal baseline), and the run reports the
-// distilled collector cost: throughput delta, latency delta, CPU share.
+// With -pacing the engine paces on the Section 3 formula, the same policy
+// the simulator drives. With -distill the same seeded workload re-runs with
+// collection disabled on an arena sized to never collect (Cai & Blackburn's
+// ideal baseline), and the run reports the distilled collector cost:
+// throughput delta, latency delta, CPU share.
 //
 // Examples:
 //
@@ -25,7 +22,6 @@
 //	gcserve -clients 64 -readfrac 0.9 -churn 500 -metrics serve.jsonl
 //	gcserve -clients 256 -burst-period 100ms -burst-duty 0.4 -pacing
 //	gcserve -clients 32 -chaos "pool.exhaust=1/4" -require-faults
-//	gcserve -clients 64 -slo-p99 5ms -require-slo
 //	gcserve -clients 64 -pacing -distill -distill-json cells.jsonl
 package main
 
@@ -39,7 +35,6 @@ import (
 	"mcgc/internal/distill"
 	"mcgc/internal/faultinject"
 	"mcgc/internal/live"
-	"mcgc/internal/pacing"
 	"mcgc/internal/runmeta"
 	"mcgc/internal/server"
 	"mcgc/internal/stats"
@@ -89,14 +84,12 @@ func main() {
 		reqFaults   = flag.Bool("require-faults", false, "exit 1 unless every spec-named fault point fired at least once")
 		minOps      = flag.Int64("min-ops", 0, "exit 1 unless at least this many requests completed")
 		reqDegraded = flag.Bool("require-degraded", false, "exit 1 unless the overload ladder visibly engaged: nonzero sheds and emergency cycles")
-		reqSLO      = flag.Bool("require-slo", false, "exit 1 unless the SLO policy observed latency windows and the merged p99 met the -slo-p99 target")
 	)
 	// Shared knob vocabulary with gcstress: -localcache/-freeshards/-cardbuf,
 	// -name and the full pacing flag set, all bound through the common
 	// helper so the same spellings mean the same thing in both CLIs.
 	common := live.BindCommonFlags(flag.CommandLine, false)
 	flag.Parse()
-	common.PrintHints(os.Stderr, "gcserve")
 
 	if *chaos == "list" {
 		for _, line := range faultinject.Sites() {
@@ -210,7 +203,7 @@ func main() {
 		baseLoad.Admission = server.AdmissionConfig{}
 		fmt.Printf("distill: re-running with collection disabled (arena %d objects)\n", base.Objects)
 		_, _, _, baseArm := runServe(base, storeCfg, baseLoad)
-		rec := distill.NewRecord(name, rep.PacingPolicy, realArm, baseArm)
+		rec := distill.NewRecord(name, realArm, baseArm)
 		distRec = &rec
 		fmt.Println(rec)
 		if common.DistillJSON != "" {
@@ -281,19 +274,6 @@ func main() {
 			}
 		}
 	}
-	if *reqSLO {
-		if rep.PacingPolicy != "slo" {
-			fmt.Fprintln(os.Stderr, "gcserve: -require-slo: SLO policy not active (pass -slo-p99)")
-			raise(live.ExitInvariant)
-		} else if rep.SLOWindows == 0 {
-			fmt.Fprintln(os.Stderr, "gcserve: -require-slo: the policy observed no latency windows (run too short?)")
-			raise(live.ExitInvariant)
-		} else if p99 := res.Hist.Quantile(stats.P99); p99 > float64(common.SLO.Target) {
-			fmt.Fprintf(os.Stderr, "gcserve: -require-slo: merged p99 %s exceeds target %s\n",
-				time.Duration(p99), common.SLO.Target)
-			raise(live.ExitInvariant)
-		}
-	}
 	if distRec != nil && distRec.BaselineContaminated {
 		fmt.Fprintln(os.Stderr, "gcserve: distill baseline contaminated (collected or exhausted); raise -distill-mult")
 		raise(live.ExitInvariant)
@@ -319,16 +299,9 @@ func main() {
 // engine report, the merged load-generator results, the store (for the
 // entries-live print) and the arm's distilled measurement (wall, process
 // CPU, completions, latency quantiles, collector activity).
-//
-// When the engine's pacing policy consumes a latency signal (the SLO
-// policy), the load generator's per-window worst latencies are streamed
-// into it — this is the feedback loop -slo-p99 closes.
 func runServe(cfg live.Config, storeCfg server.StoreConfig, loadCfg server.LoadConfig) (live.Report, server.Results, *server.Store, distill.Arm) {
 	eng := live.NewEngine(cfg)
 	st := server.NewStore(eng, storeCfg)
-	if obs, ok := eng.PacingPolicy().(pacing.LatencyObserver); ok {
-		loadCfg.WindowObserver = obs.ObserveLatency
-	}
 	lg := server.NewLoadGen(eng, st, loadCfg)
 
 	cpu0, wall0 := distill.CPUClock(), time.Now()

@@ -45,13 +45,10 @@ func main() {
 		heapstats  = flag.Bool("heapstats", false, "print fragmentation and object-size statistics at the end")
 	)
 	// The Section 3 pacing parameters use the shared vocabulary of
-	// internal/pacing; the original -rate spelling still parses but
-	// suggests -k0.
+	// internal/pacing.
 	pacingCfg := pacing.Default()
-	pacingFlags := pacing.Bind(flag.CommandLine, &pacingCfg)
-	pacingFlags.Alias("rate", "k0")
+	pacing.Bind(flag.CommandLine, &pacingCfg)
 	flag.Parse()
-	pacingFlags.PrintHints(os.Stderr, "gcsim")
 
 	bgThreads := *bg
 	if bgThreads == 0 {

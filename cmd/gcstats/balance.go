@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"strings"
 
@@ -185,12 +185,12 @@ func reduceBalance(r *runData) (balanceReport, error) {
 
 // balance prints the per-run balance reduction; with jsonOut it emits one
 // JSON object per run instead (JSONL, so sweeps can cat and append).
-func balance(path, filter string, jsonOut bool) error {
+func balance(w io.Writer, path, filter string, jsonOut bool) error {
 	runs, err := readRuns(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	reported := 0
 	for _, r := range runs {
 		if r.name == "host" || (filter != "" && !strings.Contains(r.name, filter)) {
@@ -207,17 +207,17 @@ func balance(path, filter string, jsonOut bool) error {
 			}
 			continue
 		}
-		fmt.Printf("== %s (%s)\n", rep.Run, rep.Collector)
-		fmt.Printf("   balance: %d tracers  skew max/mean %.3f  gini %.4f  idle %.1f%%  steal hits %.1f%%\n",
+		fmt.Fprintf(w, "== %s (%s)\n", rep.Run, rep.Collector)
+		fmt.Fprintf(w, "   balance: %d tracers  skew max/mean %.3f  gini %.4f  idle %.1f%%  steal hits %.1f%%\n",
 			rep.Tracers, rep.Skew, rep.Gini, 100*rep.IdleFrac, 100*rep.StealHit)
 		if rep.TermN > 0 {
-			fmt.Printf("   termination: %d samples  p50 %.1fµs  p95 %.1fµs  max %.1fµs\n",
+			fmt.Fprintf(w, "   termination: %d samples  p50 %.1fµs  p95 %.1fµs  max %.1fµs\n",
 				rep.TermN, rep.TermP50Ns/1e3, rep.TermP95Ns/1e3, rep.TermMaxNs/1e3)
 		} else {
-			fmt.Printf("   termination: no latency samples (detection was immediate every cycle)\n")
+			fmt.Fprintf(w, "   termination: no latency samples (detection was immediate every cycle)\n")
 		}
 		if rep.Hoarded > 0 {
-			fmt.Printf("   HOARDING: %d packets withheld by a pool.hoard fault\n", rep.Hoarded)
+			fmt.Fprintf(w, "   HOARDING: %d packets withheld by a pool.hoard fault\n", rep.Hoarded)
 		}
 		tbl := stats.NewTable("worker", "kind", "words", "share", "acq g/l/s", "produced", "steals", "idle ms", "pool ms")
 		var total float64
@@ -238,8 +238,8 @@ func balance(path, filter string, jsonOut bool) error {
 				fmt.Sprintf("%.1f", float64(w.IdleNs)/1e6),
 				fmt.Sprintf("%.1f", float64(w.PoolNs)/1e6))
 		}
-		fmt.Print(indent(tbl.String(), "   "))
-		fmt.Println()
+		fmt.Fprint(w, indent(tbl.String(), "   "))
+		fmt.Fprintln(w)
 	}
 	if reported == 0 {
 		return fmt.Errorf("no runs matched (file has %d runs)", len(runs))
@@ -260,7 +260,7 @@ func indent(s, pre string) string {
 // must show strictly worse imbalance (mean words-Gini) and strictly worse
 // mean termination-detection latency. This is what "the fault demonstrably
 // moves the balance numbers" means in CI.
-func checkHoard(path string) error {
+func checkHoard(w io.Writer, path string) error {
 	runs, err := readRuns(path)
 	if err != nil {
 		return err
@@ -306,16 +306,16 @@ func checkHoard(path string) error {
 		return s / float64(len(xs))
 	}
 	cg, hg, ct, ht := mean(cleanGini), mean(hoardGini), mean(cleanTerm), mean(hoardTerm)
-	fmt.Printf("hoard check: %d clean + %d hoard runs (%d packets hoarded)\n",
+	fmt.Fprintf(w, "hoard check: %d clean + %d hoard runs (%d packets hoarded)\n",
 		len(cleanGini), len(hoardGini), hoarded)
-	fmt.Printf("   words gini:   clean %.4f  hoard %.4f\n", cg, hg)
-	fmt.Printf("   term latency: clean %.1fµs  hoard %.1fµs (means)\n", ct/1e3, ht/1e3)
+	fmt.Fprintf(w, "   words gini:   clean %.4f  hoard %.4f\n", cg, hg)
+	fmt.Fprintf(w, "   term latency: clean %.1fµs  hoard %.1fµs (means)\n", ct/1e3, ht/1e3)
 	if hg <= cg {
 		return fmt.Errorf("pool.hoard did not worsen words-Gini (clean %.4f, hoard %.4f)", cg, hg)
 	}
 	if ht <= ct {
 		return fmt.Errorf("pool.hoard did not worsen termination latency (clean %.1fµs, hoard %.1fµs)", ct/1e3, ht/1e3)
 	}
-	fmt.Println("   ok: hoarding measurably worsens both imbalance and termination latency")
+	fmt.Fprintln(w, "   ok: hoarding measurably worsens both imbalance and termination latency")
 	return nil
 }

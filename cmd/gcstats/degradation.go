@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"mcgc/internal/stats"
@@ -17,12 +17,12 @@ import (
 // evicted. This is the view BENCH_overload.json records: the ladder's worth
 // shows up as "same offered load, zero lost objects, bounded stalls" against
 // a ladder-off run that wedges or fails allocations unboundedly.
-func degradation(path, filter string, jsonOut bool) error {
+func degradation(w io.Writer, path, filter string, jsonOut bool) error {
 	runs, err := readRuns(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	reported := 0
 	for _, r := range runs {
 		if r.name == "host" || (filter != "" && !strings.Contains(r.name, filter)) {
@@ -39,7 +39,7 @@ func degradation(path, filter string, jsonOut bool) error {
 			}
 			continue
 		}
-		printDegradation(s)
+		printDegradation(w, s)
 	}
 	if reported == 0 {
 		return fmt.Errorf("no live-engine runs matched (file has %d runs)", len(runs))
@@ -120,23 +120,23 @@ func reduceDegradation(r *runData) degradationSummary {
 	return s
 }
 
-func printDegradation(s degradationSummary) {
+func printDegradation(w io.Writer, s degradationSummary) {
 	ladder := "off"
 	if s.LadderOn {
 		ladder = "on"
 	}
-	fmt.Printf("== %s (%s, ladder %s)\n", s.Run, s.Collector, ladder)
-	fmt.Printf("   state: ok %.1f%%  backpressure %.1f%%  emergency %.1f%%  (%d transitions over %.2fs)\n",
+	fmt.Fprintf(w, "== %s (%s, ladder %s)\n", s.Run, s.Collector, ladder)
+	fmt.Fprintf(w, "   state: ok %.1f%%  backpressure %.1f%%  emergency %.1f%%  (%d transitions over %.2fs)\n",
 		100*s.OKFrac, 100*s.BackpressureFrac, 100*s.EmergencyFrac,
 		s.Transitions, float64(s.RunNs)/1e9)
 	if s.BackpressureWaits > 0 {
-		fmt.Printf("   backpressure: %d waits (%d timed out)  total %s  stall p50 %s  p99 %s  max %s\n",
+		fmt.Fprintf(w, "   backpressure: %d waits (%d timed out)  total %s  stall p50 %s  p99 %s  max %s\n",
 			s.BackpressureWaits, s.BackpressureTimeouts, fmtNsStat(float64(s.BackpressureNs)),
 			fmtNsStat(s.StallP50Ns), fmtNsStat(s.StallP99Ns), fmtNsStat(s.StallMaxNs))
 	}
-	fmt.Printf("   collections: %d cycles, %d emergency\n", s.Cycles, s.EmergencyCycles)
+	fmt.Fprintf(w, "   collections: %d cycles, %d emergency\n", s.Cycles, s.EmergencyCycles)
 	if s.Shed+s.Evicted+s.Retries > 0 {
-		fmt.Printf("   admission: shed %d  evicted %d  retries %d\n", s.Shed, s.Evicted, s.Retries)
+		fmt.Fprintf(w, "   admission: shed %d  evicted %d  retries %d\n", s.Shed, s.Evicted, s.Retries)
 	}
 	verdict := "survived"
 	if s.Wedged {
@@ -144,6 +144,6 @@ func printDegradation(s degradationSummary) {
 	} else if s.LostObjects > 0 {
 		verdict = fmt.Sprintf("LOST %d OBJECTS", s.LostObjects)
 	}
-	fmt.Printf("   outcome: %s  alloc failures %d  lost objects %d\n\n",
+	fmt.Fprintf(w, "   outcome: %s  alloc failures %d  lost objects %d\n\n",
 		verdict, s.AllocFailed, s.LostObjects)
 }

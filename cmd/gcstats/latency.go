@@ -3,8 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
-	"os"
 	"strings"
 
 	"mcgc/internal/stats"
@@ -16,12 +16,12 @@ import (
 // telemetry, and the correlation between the two — per time window, the
 // worst request latency against the worst pause, which is the paper's
 // server-side claim (short pauses ⇒ short request tails) made measurable.
-func latency(path, filter string, jsonOut bool) error {
+func latency(w io.Writer, path, filter string, jsonOut bool) error {
 	runs, err := readRuns(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	reported := 0
 	for _, r := range runs {
 		if r.name == "host" || (filter != "" && !strings.Contains(r.name, filter)) {
@@ -39,7 +39,7 @@ func latency(path, filter string, jsonOut bool) error {
 			}
 			continue
 		}
-		printLatency(s)
+		printLatency(w, s)
 	}
 	if reported == 0 {
 		return fmt.Errorf("no gcserve runs (with server.req_ns histograms) matched (file has %d runs)", len(runs))
@@ -213,18 +213,18 @@ func pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-func printLatency(s latencySummary) {
-	fmt.Printf("== %s (%s)\n", s.Run, s.Collector)
+func printLatency(w io.Writer, s latencySummary) {
+	fmt.Fprintf(w, "== %s (%s)\n", s.Run, s.Collector)
 	hitRate := 0.0
 	if s.Hits+s.Misses > 0 {
 		hitRate = float64(s.Hits) / float64(s.Hits+s.Misses)
 	}
-	fmt.Printf("   requests: %d completed / %d issued (%d failed)  hit rate %.1f%%  churns %d\n",
+	fmt.Fprintf(w, "   requests: %d completed / %d issued (%d failed)  hit rate %.1f%%  churns %d\n",
 		s.Ops, s.Issued, s.Failed, 100*hitRate, s.Churns)
-	fmt.Printf("   throughput: %s req/s over %.2fs\n", fmtCount(s.ThroughputRPS), float64(s.RunNs)/1e9)
-	fmt.Printf("   latency: p50 %s  p99 %s  p999 %s  max %s\n",
+	fmt.Fprintf(w, "   throughput: %s req/s over %.2fs\n", fmtCount(s.ThroughputRPS), float64(s.RunNs)/1e9)
+	fmt.Fprintf(w, "   latency: p50 %s  p99 %s  p999 %s  max %s\n",
 		fmtNsStat(s.P50Ns), fmtNsStat(s.P99Ns), fmtNsStat(s.P999Ns), fmtNsStat(s.MaxNs))
-	fmt.Printf("   gc: %d cycles  %d pauses  max pause %s  lost objects %d\n",
+	fmt.Fprintf(w, "   gc: %d cycles  %d pauses  max pause %s  lost objects %d\n",
 		s.Cycles, s.Pauses, fmtNsStat(s.MaxPauseNs), s.LostObjects)
 	if len(s.MMU) > 0 {
 		parts := make([]string, len(mmuWindows))
@@ -232,13 +232,13 @@ func printLatency(s latencySummary) {
 			k := fmt.Sprintf("%.0fms", w.Milliseconds())
 			parts[i] = fmt.Sprintf("%s %.0f%%", k, 100*s.MMU[k])
 		}
-		fmt.Printf("   MMU: %s\n", strings.Join(parts, "  "))
+		fmt.Fprintf(w, "   MMU: %s\n", strings.Join(parts, "  "))
 	}
 	if s.Windows > 0 {
-		fmt.Printf("   pause↔latency: r=%+.2f over %d windows of %s\n",
+		fmt.Fprintf(w, "   pause↔latency: r=%+.2f over %d windows of %s\n",
 			s.PauseLatencyR, s.Windows, fmtNsStat(float64(s.WindowNs)))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // fmtNsStat renders a nanosecond quantity human-readably.

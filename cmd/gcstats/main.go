@@ -8,13 +8,9 @@
 //	gcstats balance -metrics m.jsonl -json     # same, one JSON object per run
 //	gcstats latency -metrics serve.jsonl       # gcserve view: throughput, request-latency tail, pause correlation
 //	gcstats degradation -metrics serve.jsonl   # overload view: ladder time-in-state, stalls, emergency cycles, sheds
-//	gcstats pareto -distill cells.jsonl        # distilled-cost Pareto view: collector CPU overhead vs p99 per policy
+//	gcstats pareto -distill cells.jsonl        # distilled-cost Pareto view: collector CPU overhead vs p99 per cell
 //	gcstats check-hoard -metrics m.jsonl       # clean vs pool.hoard runs must separate
 //	gcstats check -trace t.json                # validate the Chrome trace (CI smoke)
-//
-// The pre-subcommand spellings (gcstats -metrics m.jsonl -balance, ...)
-// still parse; they print a one-line migration hint to stderr, the same
-// deprecated-alias convention the pacing flag vocabulary uses.
 //
 // The metrics report is computed entirely from the JSONL stream: pause
 // percentiles from the gc.pause_ns gauge, MMU from the same samples plus
@@ -34,8 +30,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -87,92 +85,80 @@ var mmuWindows = []vtime.Duration{
 	200 * vtime.Millisecond,
 }
 
-// subcommands maps each view to its runner. Every runner binds its own flag
-// set (so "gcstats latency -h" lists only latency's flags) and returns an
-// error for a failed reduction; flag errors exit(2) via flag.ExitOnError.
+// action runs one view once its flags are parsed.
+type action func(stdout, stderr io.Writer) error
+
+// subcommands maps each view to its flag binder. A binder registers the
+// view's own flags (so "gcstats latency -h" lists only latency's flags) and
+// returns the action run calls after parsing; the action writes the view to
+// stdout and returns an error for a failed reduction.
 var subcommands = map[string]struct {
 	summary string
-	run     func(args []string) error
+	bind    func(fs *flag.FlagSet) action
 }{
-	"metrics": {"pause percentiles, MMU and K trajectory per run", func(args []string) error {
-		fs := flag.NewFlagSet("gcstats metrics", flag.ExitOnError)
+	"metrics": {"pause percentiles, MMU and K trajectory per run", func(fs *flag.FlagSet) action {
 		metrics := fs.String("metrics", "", "JSONL metrics file written by gcbench/gcstress/gcserve -metrics")
-		run := fs.String("run", "", "only report runs whose name contains this substring")
-		fs.Parse(args)
-		if *metrics == "" {
-			return usageErr("gcstats metrics needs -metrics FILE")
+		filter := fs.String("run", "", "only report runs whose name contains this substring")
+		return func(stdout, _ io.Writer) error {
+			if *metrics == "" {
+				return usageErr("gcstats metrics needs -metrics FILE")
+			}
+			return report(stdout, *metrics, *filter)
 		}
-		return report(*metrics, *run)
 	}},
-	"balance": {"per-tracer load-balance view (skew, Gini, idle, steals)", func(args []string) error {
-		fs := flag.NewFlagSet("gcstats balance", flag.ExitOnError)
-		metrics, run, asJSON := viewFlags(fs)
-		fs.Parse(args)
-		if *metrics == "" {
-			return usageErr("gcstats balance needs -metrics FILE")
-		}
-		return balance(*metrics, *run, *asJSON)
-	}},
-	"latency": {"server-workload view: throughput, request-latency tail, pause correlation", func(args []string) error {
-		fs := flag.NewFlagSet("gcstats latency", flag.ExitOnError)
-		metrics, run, asJSON := viewFlags(fs)
-		fs.Parse(args)
-		if *metrics == "" {
-			return usageErr("gcstats latency needs -metrics FILE")
-		}
-		return latency(*metrics, *run, *asJSON)
-	}},
-	"degradation": {"overload view: ladder time-in-state, stalls, emergency cycles, sheds", func(args []string) error {
-		fs := flag.NewFlagSet("gcstats degradation", flag.ExitOnError)
-		metrics, run, asJSON := viewFlags(fs)
-		fs.Parse(args)
-		if *metrics == "" {
-			return usageErr("gcstats degradation needs -metrics FILE")
-		}
-		return degradation(*metrics, *run, *asJSON)
-	}},
-	"pareto": {"distilled-cost Pareto view: collector CPU overhead vs p99 per policy", func(args []string) error {
-		fs := flag.NewFlagSet("gcstats pareto", flag.ExitOnError)
+	"balance":     {"per-tracer load-balance view (skew, Gini, idle, steals)", metricsView(balance)},
+	"latency":     {"server-workload view: throughput, request-latency tail, pause correlation", metricsView(latency)},
+	"degradation": {"overload view: ladder time-in-state, stalls, emergency cycles, sheds", metricsView(degradation)},
+	"pareto": {"distilled-cost Pareto view: collector CPU overhead vs p99 per pacing configuration", func(fs *flag.FlagSet) action {
 		in := fs.String("distill", "", "JSONL file of distill records appended by gcserve/gcstress -distill-json")
 		asJSON := fs.Bool("json", false, "emit the frontier-annotated records as one JSON document (BENCH_distill.json format)")
-		fs.Parse(args)
-		if *in == "" {
-			return usageErr("gcstats pareto needs -distill FILE")
+		return func(stdout, stderr io.Writer) error {
+			if *in == "" {
+				return usageErr("gcstats pareto needs -distill FILE")
+			}
+			return pareto(stdout, stderr, *in, *asJSON)
 		}
-		return pareto(*in, *asJSON)
 	}},
-	"check": {"validate the Chrome trace file (CI smoke)", func(args []string) error {
-		fs := flag.NewFlagSet("gcstats check", flag.ExitOnError)
+	"check": {"validate the Chrome trace file (CI smoke)", func(fs *flag.FlagSet) action {
 		trace := fs.String("trace", "", "Chrome trace file written by -trace")
-		fs.Parse(args)
-		if *trace == "" {
-			return usageErr("gcstats check needs -trace FILE")
+		return func(stdout, _ io.Writer) error {
+			if *trace == "" {
+				return usageErr("gcstats check needs -trace FILE")
+			}
+			if err := checkTrace(stdout, *trace); err != nil {
+				return fmt.Errorf("trace check failed: %v", err)
+			}
+			return nil
 		}
-		if err := checkTrace(*trace); err != nil {
-			return fmt.Errorf("trace check failed: %v", err)
-		}
-		return nil
 	}},
-	"check-hoard": {"require pool.hoard runs to worsen balance vs clean runs", func(args []string) error {
-		fs := flag.NewFlagSet("gcstats check-hoard", flag.ExitOnError)
+	"check-hoard": {"require pool.hoard runs to worsen balance vs clean runs", func(fs *flag.FlagSet) action {
 		metrics := fs.String("metrics", "", "JSONL metrics file with clean and pool.hoard runs")
-		fs.Parse(args)
-		if *metrics == "" {
-			return usageErr("gcstats check-hoard needs -metrics FILE")
+		return func(stdout, _ io.Writer) error {
+			if *metrics == "" {
+				return usageErr("gcstats check-hoard needs -metrics FILE")
+			}
+			if err := checkHoard(stdout, *metrics); err != nil {
+				return fmt.Errorf("hoard check failed: %v", err)
+			}
+			return nil
 		}
-		if err := checkHoard(*metrics); err != nil {
-			return fmt.Errorf("hoard check failed: %v", err)
-		}
-		return nil
 	}},
 }
 
-// viewFlags binds the three flags every per-run metrics view shares.
-func viewFlags(fs *flag.FlagSet) (metrics, run *string, asJSON *bool) {
-	metrics = fs.String("metrics", "", "JSONL metrics file written by -metrics")
-	run = fs.String("run", "", "only report runs whose name contains this substring")
-	asJSON = fs.Bool("json", false, "emit one JSON object per run instead of text")
-	return
+// metricsView binds the three flags every per-run metrics view shares and
+// runs view on them.
+func metricsView(view func(w io.Writer, path, filter string, jsonOut bool) error) func(fs *flag.FlagSet) action {
+	return func(fs *flag.FlagSet) action {
+		metrics := fs.String("metrics", "", "JSONL metrics file written by -metrics")
+		filter := fs.String("run", "", "only report runs whose name contains this substring")
+		asJSON := fs.Bool("json", false, "emit one JSON object per run instead of text")
+		return func(stdout, _ io.Writer) error {
+			if *metrics == "" {
+				return usageErr(fs.Name() + " needs -metrics FILE")
+			}
+			return view(stdout, *metrics, *filter, *asJSON)
+		}
+	}
 }
 
 // usageError marks errors that should exit 2 (bad invocation) rather than 1
@@ -186,7 +172,7 @@ func usageErr(msg string) error { return usageError(msg) }
 // subcommandOrder fixes the help listing (map iteration is random).
 var subcommandOrder = []string{"metrics", "latency", "balance", "degradation", "pareto", "check", "check-hoard"}
 
-func usage(w *os.File) {
+func usage(w io.Writer) {
 	fmt.Fprintln(w, "usage: gcstats <subcommand> [flags]")
 	fmt.Fprintln(w, "subcommands:")
 	for _, name := range subcommandOrder {
@@ -196,105 +182,45 @@ func usage(w *os.File) {
 }
 
 func main() {
-	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		name, args := os.Args[1], os.Args[2:]
-		if name == "help" {
-			usage(os.Stdout)
-			return
-		}
-		sub, ok := subcommands[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "gcstats: unknown subcommand %q\n", name)
-			usage(os.Stderr)
-			os.Exit(2)
-		}
-		if err := sub.run(args); err != nil {
-			fmt.Fprintf(os.Stderr, "gcstats: %v\n", err)
-			if _, isUsage := err.(usageError); isUsage {
-				os.Exit(2)
-			}
-			os.Exit(1)
-		}
-		return
-	}
-	legacyMain()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// legacyMain parses the pre-subcommand flag spellings (-balance, -latency,
-// -check, ...) and forwards to the same view runners, printing a migration
-// hint per deprecated mode flag actually used — the same convention the
-// pacing vocabulary's deprecated aliases follow (pacing.Flags.PrintHints).
-func legacyMain() {
-	var (
-		metricsFlag    = flag.String("metrics", "", "JSONL metrics file written by gcbench -metrics")
-		traceFlag      = flag.String("trace", "", "Chrome trace file written by gcbench -trace")
-		checkFlag      = flag.Bool("check", false, "deprecated: use \"gcstats check -trace FILE\"")
-		balanceFlag    = flag.Bool("balance", false, "deprecated: use \"gcstats balance -metrics FILE\"")
-		latencyFlag    = flag.Bool("latency", false, "deprecated: use \"gcstats latency -metrics FILE\"")
-		degradeFlag    = flag.Bool("degradation", false, "deprecated: use \"gcstats degradation -metrics FILE\"")
-		jsonFlag       = flag.Bool("json", false, "with -balance, -latency or -degradation: emit one JSON object per run")
-		checkHoardFlag = flag.Bool("check-hoard", false, "deprecated: use \"gcstats check-hoard -metrics FILE\"")
-		runFlag        = flag.String("run", "", "only report runs whose name contains this substring")
-	)
-	flag.Usage = func() { usage(os.Stderr) }
-	flag.Parse()
-
-	hint := func(new string) {
-		fmt.Fprintf(os.Stderr, "gcstats: flag spelling deprecated; use: gcstats %s\n", new)
+// run dispatches one gcstats invocation and returns its exit code: 0 on
+// success (and for help), 1 for a failed reduction or check, 2 for a bad
+// invocation — an unknown subcommand, a flag error or a missing input.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
 	}
-	fail := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gcstats: %v\n", err)
-			os.Exit(1)
-		}
+	name, args := args[0], args[1:]
+	if name == "help" {
+		usage(stdout)
+		return 0
 	}
-	switch {
-	case *checkFlag:
-		if *traceFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -check needs -trace FILE")
-			os.Exit(2)
-		}
-		hint("check -trace FILE")
-		if err := checkTrace(*traceFlag); err != nil {
-			fail(fmt.Errorf("trace check failed: %v", err))
-		}
-	case *checkHoardFlag:
-		if *metricsFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -check-hoard needs -metrics FILE")
-			os.Exit(2)
-		}
-		hint("check-hoard -metrics FILE")
-		if err := checkHoard(*metricsFlag); err != nil {
-			fail(fmt.Errorf("hoard check failed: %v", err))
-		}
-	case *latencyFlag:
-		if *metricsFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -latency needs -metrics FILE")
-			os.Exit(2)
-		}
-		hint("latency -metrics FILE")
-		fail(latency(*metricsFlag, *runFlag, *jsonFlag))
-	case *degradeFlag:
-		if *metricsFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -degradation needs -metrics FILE")
-			os.Exit(2)
-		}
-		hint("degradation -metrics FILE")
-		fail(degradation(*metricsFlag, *runFlag, *jsonFlag))
-	case *balanceFlag:
-		if *metricsFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -balance needs -metrics FILE")
-			os.Exit(2)
-		}
-		hint("balance -metrics FILE")
-		fail(balance(*metricsFlag, *runFlag, *jsonFlag))
-	case *metricsFlag != "":
-		hint("metrics -metrics FILE")
-		fail(report(*metricsFlag, *runFlag))
-	default:
-		usage(os.Stderr)
-		os.Exit(2)
+	sub, ok := subcommands[name]
+	if !ok {
+		fmt.Fprintf(stderr, "gcstats: unknown subcommand %q\n", name)
+		usage(stderr)
+		return 2
 	}
+	fs := flag.NewFlagSet("gcstats "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	action := sub.bind(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // already reported, with the view's flags, by fs
+	}
+	if err := action(stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "gcstats: %v\n", err)
+		if _, isUsage := err.(usageError); isUsage {
+			return 2
+		}
+		return 1
+	}
+	return 0
 }
 
 // readRuns parses the JSONL stream into per-run metric maps, preserving the
@@ -377,7 +303,7 @@ func readRuns(path string) ([]*runData, error) {
 }
 
 // report prints the per-run reduction.
-func report(path, filter string) error {
+func report(w io.Writer, path, filter string) error {
 	runs, err := readRuns(path)
 	if err != nil {
 		return err
@@ -388,14 +314,14 @@ func report(path, filter string) error {
 			continue
 		}
 		reported++
-		fmt.Printf("== %s (%s)\n", r.name, r.collector)
+		fmt.Fprintf(w, "== %s (%s)\n", r.name, r.collector)
 
 		pauses := r.gauges["gc.pause_ns"]
 		if len(pauses.v) == 0 {
-			fmt.Printf("   no collections recorded\n")
+			fmt.Fprintf(w, "   no collections recorded\n")
 		} else {
 			qs := stats.QuantilesF(pauses.v, 0.5, 0.95, 1.0)
-			fmt.Printf("   pauses: %d  p50 %.2f ms  p95 %.2f ms  max %.2f ms\n",
+			fmt.Fprintf(w, "   pauses: %d  p50 %.2f ms  p95 %.2f ms  max %.2f ms\n",
 				len(pauses.v), qs[0]/1e6, qs[1]/1e6, qs[2]/1e6)
 		}
 
@@ -410,24 +336,24 @@ func report(path, filter string) error {
 			for i, w := range mmuWindows {
 				parts[i] = fmt.Sprintf("%.0fms %.0f%%", w.Milliseconds(), 100*curve[i])
 			}
-			fmt.Printf("   MMU: %s\n", strings.Join(parts, "  "))
+			fmt.Fprintf(w, "   MMU: %s\n", strings.Join(parts, "  "))
 		}
 
 		if lh, st, sp, ss, cf := r.counters["pool.local_hits"], r.counters["pool.steals"],
 			r.counters["pool.spills"], r.counters["arena.shard_steals"],
 			r.counters["card.buffer_flushes"]; lh+st+sp+ss+cf > 0 {
-			fmt.Printf("   sharding: local hits %d  steals %d  spills %d  shard steals %d  card flushes %d\n",
+			fmt.Fprintf(w, "   sharding: local hits %d  steals %d  spills %d  shard steals %d  card flushes %d\n",
 				lh, st, sp, ss, cf)
 		}
 
 		if faults := faultCounters(r.counters); len(faults) > 0 {
-			fmt.Printf("   faults:")
+			fmt.Fprintf(w, "   faults:")
 			for _, f := range faults {
-				fmt.Printf("  %s %d/%d", f.site, f.fires, f.hits)
+				fmt.Fprintf(w, "  %s %d/%d", f.site, f.fires, f.hits)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 			if r.counters["live.wedged"] > 0 {
-				fmt.Printf("   WEDGED: run aborted by the termination watchdog\n")
+				fmt.Fprintf(w, "   WEDGED: run aborted by the termination watchdog\n")
 			}
 		}
 
@@ -443,15 +369,15 @@ func report(path, filter string) error {
 				}
 				sum += v
 			}
-			fmt.Printf("   K: %d increments  first %.2f  last %.2f  mean %.2f  range [%.2f, %.2f]\n",
+			fmt.Fprintf(w, "   K: %d increments  first %.2f  last %.2f  mean %.2f  range [%.2f, %.2f]\n",
 				len(k.v), k.v[0], k.v[len(k.v)-1], sum/float64(len(k.v)), min, max)
 			if kicks := r.counters["gc.kickoffs"]; kicks > 0 {
-				fmt.Printf("   kickoffs: %d  paced increments: %d  trace words: mutator %d  bg %d  dedicated %d\n",
+				fmt.Fprintf(w, "   kickoffs: %d  paced increments: %d  trace words: mutator %d  bg %d  dedicated %d\n",
 					kicks, r.counters["gc.increments"],
 					r.counters["trace.mutator_words"], r.counters["trace.bg_words"], r.counters["trace.dedicated_words"])
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if reported == 0 {
 		return fmt.Errorf("no runs matched (file has %d runs)", len(runs))
@@ -531,7 +457,7 @@ type span struct {
 // "worker" argument of tracer.cycle spans must be one-to-one with its track —
 // two workers sharing a lane (or one worker smeared over two lanes) is how a
 // track-assignment bug renders as interleaved garbage.
-func checkTrace(path string) error {
+func checkTrace(w io.Writer, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -604,7 +530,7 @@ func checkTrace(path string) error {
 		sort.Strings(names)
 		return fmt.Errorf("only %d distinct span types (%s); want >= 5", len(spanNames), strings.Join(names, ", "))
 	}
-	fmt.Printf("trace ok: %d spans (%d types), %d instants, %d counter samples, %d tracks\n",
+	fmt.Fprintf(w, "trace ok: %d spans (%d types), %d instants, %d counter samples, %d tracks\n",
 		spans, len(spanNames), instants, counters, len(tracks))
 	return nil
 }

@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"time"
 
@@ -16,7 +16,7 @@ import (
 // axes, with each dominated cell naming a dominator. With asJSON the
 // frontier-annotated records are emitted as one JSON document — the
 // BENCH_distill.json format.
-func pareto(path string, asJSON bool) error {
+func pareto(w, stderr io.Writer, path string, asJSON bool) error {
 	recs, err := distill.ReadRecords(path)
 	if err != nil {
 		return err
@@ -26,7 +26,7 @@ func pareto(path string, asJSON bool) error {
 	}
 	if agg := distill.MedianByName(recs); len(agg) < len(recs) {
 		// To stderr: the -json document on stdout must stay parseable.
-		fmt.Fprintf(os.Stderr, "pareto: %d records, %d cells (repeated cells collapsed to their median-CPU rep)\n",
+		fmt.Fprintf(stderr, "pareto: %d records, %d cells (repeated cells collapsed to their median-CPU rep)\n",
 			len(recs), len(agg))
 		recs = agg
 	}
@@ -43,13 +43,13 @@ func pareto(path string, asJSON bool) error {
 			Axes:    [2]string{"cpu_overhead", "real.p99_ns"},
 			Records: recs,
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
 
-	fmt.Printf("%-24s %-8s %12s %10s %10s %10s  %s\n",
-		"name", "policy", "cpu overhd", "p99", "gc share", "tput loss", "verdict")
+	fmt.Fprintf(w, "%-24s %12s %10s %10s %10s  %s\n",
+		"name", "cpu overhd", "p99", "gc share", "tput loss", "verdict")
 	frontier := 0
 	for _, r := range recs {
 		verdict := "FRONTIER"
@@ -61,12 +61,12 @@ func pareto(path string, asJSON bool) error {
 		default:
 			frontier++
 		}
-		fmt.Printf("%-24s %-8s %11.1f%% %10s %9.1f%% %9.1f%%  %s\n",
-			r.Name, r.Policy,
+		fmt.Fprintf(w, "%-24s %11.1f%% %10s %9.1f%% %9.1f%%  %s\n",
+			r.Name,
 			100*r.CPUOverhead,
 			time.Duration(r.Real.P99Ns).Round(time.Microsecond),
 			100*r.GCCPUShare, 100*r.ThroughputLoss, verdict)
 	}
-	fmt.Printf("frontier: %d of %d cells\n", frontier, len(recs))
+	fmt.Fprintf(w, "frontier: %d of %d cells\n", frontier, len(recs))
 	return nil
 }

@@ -67,7 +67,6 @@ func main() {
 	// pacing word unit for the live engine is one object.
 	common := live.BindCommonFlags(flag.CommandLine, false)
 	flag.Parse()
-	common.PrintHints(os.Stderr, "gcstress")
 
 	if *chaos == "list" {
 		for _, line := range faultinject.Sites() {
@@ -166,7 +165,7 @@ func main() {
 		base.ObserveOptions = live.ObserveOptions{}
 		fmt.Printf("distill: re-running with collection disabled (arena %d objects)\n", base.Objects)
 		_, baseArm := runArm(base)
-		rec := distill.NewRecord(name, rep.PacingPolicy, realArm, baseArm)
+		rec := distill.NewRecord(name, realArm, baseArm)
 		distRec = &rec
 		fmt.Println(rec)
 		if common.DistillJSON != "" {

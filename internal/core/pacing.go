@@ -24,10 +24,8 @@ type heapBytesView struct{ h *heapsim.Heap }
 func (v heapBytesView) FreeWords() int64     { return v.h.FreeBytes() }
 func (v heapBytesView) OccupiedWords() int64 { return v.h.OccupiedBytes() }
 
-// newPacer builds the shared formula policy over the simulated heap. The
-// simulator drives the concrete FormulaPolicy rather than pacing.Policy: it
-// plots the fine-grained surface (Predictions, Best, BestPrimed) that only
-// the formula exposes.
+// newPacer builds the shared formula policy over the simulated heap; the
+// live engine drives the same FormulaPolicy over its arena.
 func newPacer(cfg PacingConfig, h *heapsim.Heap) *pacing.FormulaPolicy {
 	return pacing.NewFormula(cfg, heapBytesView{h})
 }

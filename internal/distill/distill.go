@@ -7,7 +7,7 @@
 // overhead from above: throughput loss, tail-latency inflation, and the CPU
 // the collector burns per unit of work.
 //
-// Records from a sweep (one per policy configuration) line up into a Pareto
+// Records from a sweep (one per pacing configuration) line up into a Pareto
 // curve of collector CPU overhead versus p99 latency; MarkFrontier computes
 // the frontier and the dominance relation gcstats' pareto view prints.
 package distill
@@ -52,14 +52,11 @@ func (a *Arm) FillThroughput() {
 	}
 }
 
-// Record is one distilled measurement: a named policy configuration, its
+// Record is one distilled measurement: a named pacing configuration, its
 // two arms, and the derived overheads.
 type Record struct {
-	// Name identifies the configuration in the sweep (e.g. "slo/2ms",
-	// "formula/k0=8"); Policy is the pacing policy class ("formula", "slo",
-	// "none").
-	Name   string `json:"name"`
-	Policy string `json:"policy"`
+	// Name identifies the configuration in the sweep (e.g. "formula/k0=8").
+	Name string `json:"name"`
 
 	Real     Arm `json:"real"`
 	Baseline Arm `json:"baseline"`
@@ -90,8 +87,8 @@ type Record struct {
 }
 
 // NewRecord derives the overhead fields from the two arms.
-func NewRecord(name, policy string, real, baseline Arm) Record {
-	r := Record{Name: name, Policy: policy, Real: real, Baseline: baseline}
+func NewRecord(name string, real, baseline Arm) Record {
+	r := Record{Name: name, Real: real, Baseline: baseline}
 	if baseline.Cycles > 0 || baseline.AllocFailed > 0 {
 		r.BaselineContaminated = true
 	}
@@ -125,11 +122,11 @@ func perUnit(total, units int64) float64 {
 // String renders the record the way the CLIs print it after a -distill run.
 func (r Record) String() string {
 	s := fmt.Sprintf(
-		"distilled[%s policy=%s]:\n"+
+		"distilled[%s]:\n"+
 			"  real:     %10.0f/s  cpu %8s  p99 %8s  (cycles %d, stw %s)\n"+
 			"  baseline: %10.0f/s  cpu %8s  p99 %8s  (cycles %d)\n"+
 			"  overhead: cpu/unit %+.1f%%  gc cpu share %.1f%%  throughput %+.1f%%  p99 %+s",
-		r.Name, r.Policy,
+		r.Name,
 		r.Real.Throughput, fmtNs(r.Real.CPUNs), fmtNsF(r.Real.P99Ns),
 		r.Real.Cycles, fmtNs(r.Real.STWNs),
 		r.Baseline.Throughput, fmtNs(r.Baseline.CPUNs), fmtNsF(r.Baseline.P99Ns),

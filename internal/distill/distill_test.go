@@ -16,7 +16,7 @@ func TestNewRecordOverheads(t *testing.T) {
 	// gc share 50%.
 	real := arm(2000_000, 1000, 800, 5000)
 	base := arm(1000_000, 1000, 1000, 2000)
-	r := NewRecord("cell", "formula", real, base)
+	r := NewRecord("cell", real, base)
 	if math.Abs(r.CPUOverhead-1.0) > 1e-9 {
 		t.Fatalf("CPUOverhead = %v, want 1.0", r.CPUOverhead)
 	}
@@ -38,12 +38,12 @@ func TestNewRecordContamination(t *testing.T) {
 	real := arm(1, 1, 1, 1)
 	base := arm(1, 1, 1, 1)
 	base.Cycles = 1
-	if r := NewRecord("a", "formula", real, base); !r.BaselineContaminated {
+	if r := NewRecord("a", real, base); !r.BaselineContaminated {
 		t.Fatal("baseline with cycles not flagged")
 	}
 	base.Cycles = 0
 	base.AllocFailed = 5
-	if r := NewRecord("a", "formula", real, base); !r.BaselineContaminated {
+	if r := NewRecord("a", real, base); !r.BaselineContaminated {
 		t.Fatal("baseline with allocation failures not flagged")
 	}
 }
@@ -120,8 +120,8 @@ func TestMedianByName(t *testing.T) {
 
 func TestAppendReadRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.jsonl")
-	a := NewRecord("a", "formula", arm(2000, 1, 10, 100), arm(1000, 1, 20, 50))
-	b := NewRecord("b", "slo", arm(1500, 1, 15, 80), arm(1000, 1, 20, 50))
+	a := NewRecord("a", arm(2000, 1, 10, 100), arm(1000, 1, 20, 50))
+	b := NewRecord("b", arm(1500, 1, 15, 80), arm(1000, 1, 20, 50))
 	for _, r := range []Record{a, b} {
 		if err := r.AppendJSON(path); err != nil {
 			t.Fatal(err)

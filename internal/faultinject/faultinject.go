@@ -76,7 +76,7 @@ const (
 	// can see. The hoarder eventually traces its hoard itself, so no work is
 	// lost — but siblings idle, the work distribution skews toward the
 	// hoarder and termination detection is delayed, which is exactly what
-	// the per-tracer ledgers and gcstats -balance must make visible.
+	// the per-tracer ledgers and gcstats balance must make visible.
 	PoolHoard = "pool.hoard"
 	// CardCleanStall stalls between word registrations inside the concurrent
 	// register-and-clear pass, widening the dirty-during-clean race window.

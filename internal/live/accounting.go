@@ -16,7 +16,7 @@ import (
 // ledgers with uncontended atomics; the driver snapshots them between
 // phases, emits per-cycle tracer.cycle spans on per-worker tracks, and folds
 // the end-of-run totals into the Report and the trace.worker.* counters that
-// gcstats -balance reduces to the Section 6.3 quantities (skew, idle
+// gcstats balance reduces to the Section 6.3 quantities (skew, idle
 // fraction, steal-hit rate, termination latency).
 //
 // Accounting arms only when the run carries a telemetry registry, a
@@ -162,7 +162,7 @@ func (e *Engine) finishAccounting() {
 }
 
 // flushWorkerTelemetry emits the end-of-run trace.worker.* counters (the
-// series gcstats -balance consumes). Counters for a worker that never traced
+// series gcstats balance consumes). Counters for a worker that never traced
 // are suppressed, except words, so the worker's existence — and its zero —
 // still reaches the balance view.
 func (e *Engine) flushWorkerTelemetry() {

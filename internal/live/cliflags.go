@@ -3,7 +3,6 @@ package live
 import (
 	"flag"
 	"fmt"
-	"io"
 	"strings"
 
 	"mcgc/internal/faultinject"
@@ -31,14 +30,6 @@ type CommonFlags struct {
 	LadderOn bool
 	Ladder   LadderConfig
 
-	// SLO is the latency-feedback controller configuration; a nonzero
-	// SLO.Target (-slo-p99) selects pacing.SLOPolicy over the plain
-	// formula. Its Section 3 floor comes from the shared Pacing knobs, so
-	// -k0 and friends mean the same thing under either policy. The knobs
-	// are bound here, once, for every live-engine CLI — gcstress, gcserve
-	// and any future one — instead of each command re-registering them.
-	SLO pacing.SLOConfig
-
 	// Distillation (Cai & Blackburn "distilled cost") knobs, likewise bound
 	// once for every CLI: Distill re-runs the same seeded workload with
 	// collection disabled and reports the delta, DistillMult sizes the
@@ -49,8 +40,6 @@ type CommonFlags struct {
 	Distill     bool
 	DistillMult int
 	DistillJSON string
-
-	pf *pacing.Flags
 }
 
 // BindCommonFlags registers the shared vocabulary on fs. pacingDefault is
@@ -68,11 +57,10 @@ func BindCommonFlags(fs *flag.FlagSet, pacingDefault bool) *CommonFlags {
 	fs.DurationVar(&cf.Ladder.BackpressureWait, "bp-wait", 0, "deadline for one backpressured allocation (0 = default 20ms)")
 	fs.IntVar(&cf.Ladder.EmergencyMinFree, "emergency-min", 0, "freed-object floor below which a pressured cycle counts as starved (0 = allocation batch)")
 	fs.IntVar(&cf.Ladder.EmergencyAfter, "emergency-after", 0, "consecutive starved cycles before an emergency STW collection (0 = default 2)")
-	pacing.BindSLO(fs, &cf.SLO)
 	fs.BoolVar(&cf.Distill, "distill", false, "after the measured run, re-run the same seeded workload with collection disabled and report the distilled collector cost")
 	fs.IntVar(&cf.DistillMult, "distill-mult", 4, "baseline arena headroom for -distill: arena objects plus this many times the real run's allocations (sized to never collect)")
 	fs.StringVar(&cf.DistillJSON, "distill-json", "", "append the distilled-cost record as one JSON line to this file")
-	cf.pf = pacing.Bind(fs, &cf.Pacing)
+	pacing.Bind(fs, &cf.Pacing)
 	return cf
 }
 
@@ -84,11 +72,6 @@ func (cf *CommonFlags) Apply(cfg *Config) {
 	if cf.PacingOn {
 		p := cf.Pacing
 		cfg.Pacing = &p
-	}
-	if cf.SLO.Target > 0 {
-		s := cf.SLO
-		s.Formula = cf.Pacing
-		cfg.SLO = &s
 	}
 	if cf.LadderOn {
 		cfg.Ladder = cf.Ladder
@@ -102,12 +85,6 @@ func (cf *CommonFlags) RunName(fallback string) string {
 		return cf.Name
 	}
 	return fallback
-}
-
-// PrintHints forwards the pacing vocabulary's deprecated-alias migration
-// hints (call after Parse, before using the values).
-func (cf *CommonFlags) PrintHints(w io.Writer, prog string) {
-	cf.pf.PrintHints(w, prog)
 }
 
 // String renders the sharding knobs for debug output.
@@ -154,9 +131,6 @@ func (cf *CommonFlags) ReproFlags() string {
 	}
 	if cf.LadderOn {
 		parts = append(parts, "-ladder")
-	}
-	if cf.SLO.Target != 0 {
-		parts = append(parts, fmt.Sprintf("-slo-p99 %s", cf.SLO.Target))
 	}
 	if cf.Ladder.BackpressureWait != 0 {
 		parts = append(parts, fmt.Sprintf("-bp-wait %s", cf.Ladder.BackpressureWait))

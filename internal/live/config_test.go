@@ -23,18 +23,6 @@ func TestValidateErrors(t *testing.T) {
 		{"negative tracers", func(c *Config) { c.Tracers = -3 }, "Tracers"},
 		{"negative duration", func(c *Config) { c.Duration = -time.Second }, "Duration"},
 		{"pacing k0", func(c *Config) { c.Pacing = &pacing.Config{K0: -1} }, "Pacing.K0"},
-		{"slo target", func(c *Config) {
-			c.SLO = &pacing.SLOConfig{Target: -time.Millisecond}
-		}, "SLO.Target"},
-		{"slo floor", func(c *Config) {
-			c.SLO = &pacing.SLOConfig{Target: time.Millisecond, FloorK: 1.5}
-		}, "SLO.FloorK"},
-		{"slo bg bounds", func(c *Config) {
-			c.SLO = &pacing.SLOConfig{Target: time.Millisecond, BgMin: 4, BgMax: 2}
-		}, "SLO.BgMin"},
-		{"slo alpha", func(c *Config) {
-			c.SLO = &pacing.SLOConfig{Target: time.Millisecond, Alpha: 2}
-		}, "SLO.Alpha"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,22 +57,17 @@ func TestValidateJoinsAllProblems(t *testing.T) {
 
 func TestConfigConstructors(t *testing.T) {
 	pc := pacing.Config{K0: 6}
-	sc := pacing.SLOConfig{Target: 2 * time.Millisecond}
 	plan := (*Config)(nil) // placeholder to keep the imports honest
 	_ = plan
 	cfg := Config{Objects: 1 << 10, Mutators: 1, Tracers: 1, Duration: time.Millisecond}.
 		WithSharding(4, 2, 16).
 		WithFormulaPacing(pc).
-		WithSLOPacing(sc).
 		WithLadder(LadderConfig{Enabled: true, EmergencyAfter: 3})
 	if cfg.LocalCache != 4 || cfg.FreeShards != 2 || cfg.CardBuffer != 16 {
 		t.Fatalf("sharding options not applied: %+v", cfg.ShardingOptions)
 	}
 	if cfg.Pacing == nil || cfg.Pacing.K0 != 6 {
 		t.Fatalf("formula pacing not applied: %+v", cfg.PacingOptions)
-	}
-	if cfg.SLO == nil || cfg.SLO.Target != 2*time.Millisecond {
-		t.Fatalf("slo pacing not applied: %+v", cfg.PacingOptions)
 	}
 	if !cfg.Ladder.Enabled || cfg.Ladder.EmergencyAfter != 3 {
 		t.Fatalf("ladder options not applied: %+v", cfg.LadderOptions)
@@ -123,8 +106,8 @@ func TestDisableCollectionRun(t *testing.T) {
 	}
 	cfg.PacingOptions = PacingOptions{DisableCollection: true}
 	e := NewEngine(cfg)
-	if e.PacingPolicy() != nil {
-		t.Fatal("collection-disabled engine built a pacing policy")
+	if e.pacer != nil {
+		t.Fatal("collection-disabled engine built a pacer")
 	}
 	rep := e.Run()
 	if rep.Cycles != 0 {
@@ -133,54 +116,10 @@ func TestDisableCollectionRun(t *testing.T) {
 	if rep.STWCount != 0 {
 		t.Fatalf("collection-disabled run paused %d times", rep.STWCount)
 	}
-	if rep.PacingPolicy != "none" {
-		t.Fatalf("policy = %q, want none", rep.PacingPolicy)
+	if rep.PacingEnabled {
+		t.Fatal("collection-disabled run reports pacing enabled")
 	}
 	if rep.MutatorOps == 0 {
 		t.Fatal("mutators made no progress")
-	}
-}
-
-// TestSLOPolicyWiring: a config with an SLO target builds the SLO policy,
-// exposes it through PacingPolicy (for the latency feed) and reports its
-// stats; feeding over-target windows mid-run must engage the controller.
-func TestSLOPolicyWiring(t *testing.T) {
-	cfg := Config{
-		Objects:  1 << 12,
-		Mutators: 2,
-		Tracers:  1,
-		Duration: 300 * time.Millisecond,
-		Seed:     3,
-	}
-	cfg.SLO = &pacing.SLOConfig{Formula: pacing.Default(), Target: time.Millisecond}
-	e := NewEngine(cfg)
-	obs, ok := e.PacingPolicy().(pacing.LatencyObserver)
-	if !ok {
-		t.Fatalf("policy %T is not a LatencyObserver", e.PacingPolicy())
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 20; i++ {
-			obs.ObserveLatency(int64(5 * time.Millisecond)) // 5x over target
-			time.Sleep(10 * time.Millisecond)
-		}
-	}()
-	rep := e.Run()
-	<-done
-	if rep.PacingPolicy != "slo" {
-		t.Fatalf("report policy = %q, want slo", rep.PacingPolicy)
-	}
-	if rep.SLOWindows == 0 {
-		t.Fatal("report lost the controller's window count")
-	}
-	if rep.SLOOverTarget == 0 {
-		t.Fatal("5x-over-target windows not counted as over target")
-	}
-	if rep.SLOBgFactor >= 1 {
-		t.Fatalf("bg factor %v under sustained overshoot, want < 1", rep.SLOBgFactor)
-	}
-	if rep.LostObjects != 0 || len(rep.Violations) > 0 {
-		t.Fatalf("oracle violations under the SLO policy: lost=%d %v", rep.LostObjects, rep.Violations)
 	}
 }

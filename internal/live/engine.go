@@ -37,10 +37,8 @@ type ShardingOptions struct {
 	CardBuffer int
 }
 
-// PacingOptions groups the pacing-policy selection. At most one policy runs
-// a given engine: the SLO controller when SLO has a target, else the plain
-// Section 3 formula when Pacing is set, else none (cycles start on the idle
-// timer).
+// PacingOptions groups the pacing selection: the Section 3 formula when
+// Pacing is set, else none (cycles start on the idle timer).
 type PacingOptions struct {
 	// Pacing enables the Section 3 pacer (nil disables). With pacing on,
 	// cycles start when the kickoff formula fires instead of on the idle
@@ -51,20 +49,12 @@ type PacingOptions struct {
 	// this backend is one heap object.
 	Pacing *pacing.Config
 
-	// SLO selects the latency-feedback policy (pacing.SLOPolicy) when its
-	// Target is set: the Section 3 formula stays the safety floor (taken
-	// from SLO.Formula if nonzero, else from Pacing, else the defaults) and
-	// the controller trades collector CPU for request tail latency against
-	// the target. Feed the policy latency windows via
-	// Engine.PacingPolicy() / pacing.LatencyObserver.
-	SLO *pacing.SLOConfig
-
 	// DisableCollection runs the workload with the collector off: no
 	// cycles, no pacing, no write-barrier marking work — allocation simply
 	// consumes the arena. This is the cost-distillation baseline (Cai &
 	// Blackburn): size the arena so the run never exhausts it, and the
 	// delta against an identical collected run is the collector's real
-	// cost. Pacing and SLO are ignored when set.
+	// cost. Pacing is ignored when set.
 	DisableCollection bool
 }
 
@@ -155,17 +145,9 @@ func (c Config) WithSharding(localCache, freeShards, cardBuffer int) Config {
 	return c
 }
 
-// WithFormulaPacing returns a copy of c paced by the Section 3 formula. An
-// SLO target set by WithSLOPacing survives (and wins: the formula becomes
-// its floor), so the two constructors compose in either order.
+// WithFormulaPacing returns a copy of c paced by the Section 3 formula.
 func (c Config) WithFormulaPacing(pc pacing.Config) Config {
 	c.PacingOptions.Pacing = &pc
-	return c
-}
-
-// WithSLOPacing returns a copy of c paced by the SLO controller.
-func (c Config) WithSLOPacing(sc pacing.SLOConfig) Config {
-	c.PacingOptions.SLO = &sc
 	return c
 }
 
@@ -187,10 +169,10 @@ func (c Config) WithSinks(reg *telemetry.Registry, tl *telemetry.Timeline) Confi
 	return c
 }
 
-// pacingEnabled reports whether this run paces allocation at all: some
-// policy is configured and collection is not disabled.
+// pacingEnabled reports whether this run paces allocation at all: the
+// formula is configured and collection is not disabled.
 func (c Config) pacingEnabled() bool {
-	return !c.DisableCollection && (c.Pacing != nil || (c.SLO != nil && c.SLO.Target > 0))
+	return !c.DisableCollection && c.Pacing != nil
 }
 
 // cfgErr builds one entry of the config error vocabulary: every problem
@@ -240,20 +222,6 @@ func (c Config) Validate() error {
 	}
 	if c.Pacing != nil && c.Pacing.K0 <= 0 {
 		bad("Pacing.K0", "tracing rate must be positive, got %g", c.Pacing.K0)
-	}
-	if c.SLO != nil {
-		if c.SLO.Target < 0 {
-			bad("SLO.Target", "negative latency target %v", c.SLO.Target)
-		}
-		if c.SLO.FloorK < 0 || c.SLO.FloorK > 1 {
-			bad("SLO.FloorK", "tax floor must be in (0,1], got %g", c.SLO.FloorK)
-		}
-		if c.SLO.BgMin < 0 || c.SLO.BgMax < 0 || (c.SLO.BgMax > 0 && c.SLO.BgMin > c.SLO.BgMax) {
-			bad("SLO.BgMin", "throttle-factor bounds [%g,%g] are not an interval", c.SLO.BgMin, c.SLO.BgMax)
-		}
-		if c.SLO.Alpha < 0 || c.SLO.Alpha > 1 {
-			bad("SLO.Alpha", "smoothing factor must be in (0,1], got %g", c.SLO.Alpha)
-		}
 	}
 	if c.WedgeTimeout < 0 {
 		bad("WedgeTimeout", "negative timeout %v", c.WedgeTimeout)
@@ -331,10 +299,6 @@ type Engine struct {
 	// policy is configured (cycles then start on the idle timer) and when
 	// collection is disabled.
 	pacer *livePacer
-	// bgTuner is the policy's background-throttle capability, when it has
-	// one (the SLO controller): concurrency-safe by contract, read by the
-	// background tracers without the pacer gate.
-	bgTuner pacing.BgTuner
 
 	// muts holds every mutator: indices [0,cfg.Mutators) run the synthetic
 	// workload on engine goroutines; the rest are externally driven (Mut
@@ -436,11 +400,8 @@ func NewEngine(cfg Config) *Engine {
 	e.cond = sync.NewCond(&e.mu)
 	e.oracleMarks = newOracleScratch(cfg.Objects)
 	if !cfg.DisableCollection {
-		if pol := buildPolicy(cfg.Pacing, cfg.SLO, e.arena); pol != nil {
-			e.pacer = newLivePacer(pol, e.arena)
-			if bt, ok := pol.(pacing.BgTuner); ok {
-				e.bgTuner = bt
-			}
+		if cfg.Pacing != nil {
+			e.pacer = newLivePacer(*cfg.Pacing, e.arena)
 		}
 	} else {
 		// Pre-fault the ref-slot pages now, at construction time. The
@@ -527,18 +488,6 @@ func (e *Engine) Arena() *Arena { return e.arena }
 
 // Pool exposes the engine's work packet pool.
 func (e *Engine) Pool() *workpack.Pool { return e.pool }
-
-// PacingPolicy exposes the run's pacing policy (nil when pacing is off),
-// for capability probing: a server workload asserts pacing.LatencyObserver
-// on it and feeds latency windows in live. The protocol methods stay behind
-// the engine's gate — callers may only use the concurrency-safe capability
-// interfaces.
-func (e *Engine) PacingPolicy() pacing.Policy {
-	if e.pacer == nil {
-		return nil
-	}
-	return e.pacer.policy()
-}
 
 func (e *Engine) now() int64 { return time.Since(e.start).Nanoseconds() }
 
@@ -1098,7 +1047,7 @@ func (e *Engine) traceLoop(id int, bg bool) {
 	for !e.shutdown.Load() {
 		idle := 20 * time.Microsecond
 		if bg {
-			idle = e.bgSleep(e.cfg.BgThrottle)
+			idle = e.cfg.BgThrottle
 		}
 		if !e.markingActive.Load() {
 			time.Sleep(100 * time.Microsecond)
@@ -1169,7 +1118,7 @@ func (e *Engine) traceLoop(id int, bg bool) {
 			// No throttle while the world is stopped: there is no mutator
 			// to cede the processor to, and the pause waits on every packet
 			// this tracer holds.
-			time.Sleep(e.bgSleep(e.cfg.BgThrottle / 4))
+			time.Sleep(e.cfg.BgThrottle / 4)
 		}
 	}
 	// Every exit path — normal shutdown or a wedge abort — returns the
@@ -1181,21 +1130,6 @@ func (e *Engine) traceLoop(id int, bg bool) {
 	if lp != nil {
 		lp.Flush()
 	}
-}
-
-// bgSleep scales a background-tracer sleep by the policy's throttle factor
-// when the policy has one (the SLO controller): a factor under 1 runs the
-// background tracers hotter, over 1 parks them longer. The factor is read
-// lock-free — BgTuner is concurrency-safe by contract.
-func (e *Engine) bgSleep(base time.Duration) time.Duration {
-	if e.bgTuner == nil {
-		return base
-	}
-	f := e.bgTuner.BgThrottleFactor()
-	if f <= 0 || f == 1 {
-		return base
-	}
-	return time.Duration(float64(base) * f)
 }
 
 // checkFreeConservation verifies, with the world stopped at the end of a

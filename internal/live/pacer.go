@@ -10,7 +10,7 @@ import (
 // The live backend's pacing "word" is one heap object: the arena is a flat
 // array of fixed-size objects, so object counts are the natural unit for
 // free memory (F), tracing progress (T, one per scanned object) and the
-// L/M predictors. A pacing.Policy is single-threaded by contract;
+// L/M predictors. pacing.FormulaPolicy is single-threaded by contract;
 // livePacer is the gate that serializes it — mutators paying their
 // allocation tax, tracers reporting progress and the driver deciding
 // kickoff all funnel through one mutex. Everything the telemetry layer
@@ -64,13 +64,11 @@ type pacerSummary struct {
 	kickoffs                  int
 }
 
-// livePacer wraps a pacing policy for concurrent use. It holds the Policy
-// interface, not a concrete type: the engine decides at construction whether
-// the run paces on the Section 3 formula alone or on the SLO controller, and
-// everything behind the gate is policy-agnostic.
+// livePacer wraps the Section 3 formula policy for concurrent use: the same
+// pacing.FormulaPolicy the simulator drives, behind one mutex.
 type livePacer struct {
 	mu   sync.Mutex
-	p    pacing.Policy
+	p    *pacing.FormulaPolicy
 	view arenaObjectsView
 
 	sum      pacerSummary
@@ -78,53 +76,14 @@ type livePacer struct {
 	kickoffs []kickoffPoint
 }
 
-// buildPolicy resolves the engine config into a pacing policy over the
-// arena: the SLO controller when an SLO config is present, the plain
-// formula when only pacing parameters are, nil otherwise. The live
-// backend's BestWindow default is applied to whichever formula config ends
-// up in charge.
-func buildPolicy(pc *pacing.Config, slo *pacing.SLOConfig, a *Arena) pacing.Policy {
+// newLivePacer builds the formula policy over the arena, applying the live
+// backend's BestWindow default.
+func newLivePacer(pc pacing.Config, a *Arena) *livePacer {
 	view := arenaObjectsView{a}
-	if slo != nil && slo.Target > 0 {
-		s := *slo
-		if s.Formula == (pacing.Config{}) {
-			if pc != nil {
-				s.Formula = *pc
-			} else {
-				s.Formula = pacing.Default()
-			}
-		}
-		if s.Formula.BestWindow == 0 {
-			s.Formula.BestWindow = liveBestWindow
-		}
-		return pacing.NewSLO(s, view)
+	if pc.BestWindow == 0 {
+		pc.BestWindow = liveBestWindow
 	}
-	if pc == nil {
-		return nil
-	}
-	cfg := *pc
-	if cfg.BestWindow == 0 {
-		cfg.BestWindow = liveBestWindow
-	}
-	return pacing.NewFormula(cfg, view)
-}
-
-func newLivePacer(p pacing.Policy, a *Arena) *livePacer {
-	return &livePacer{p: p, view: arenaObjectsView{a}}
-}
-
-// policy exposes the wrapped Policy for capability probing (LatencyObserver,
-// BgTuner) — the capabilities are concurrency-safe by contract, so handing
-// them out from behind the gate is sound.
-func (lp *livePacer) policy() pacing.Policy { return lp.p }
-
-// sloStats snapshots the SLO controller counters, zero when the run paces
-// on the plain formula.
-func (lp *livePacer) sloStats() (pacing.SLOStats, bool) {
-	if s, ok := lp.p.(*pacing.SLOPolicy); ok {
-		return s.Stats(), true
-	}
-	return pacing.SLOStats{}, false
+	return &livePacer{p: pacing.NewFormula(pc, view), view: view}
 }
 
 // kickoff evaluates the kickoff formula; a fired decision is logged with

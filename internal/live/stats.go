@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mcgc/internal/faultinject"
-	"mcgc/internal/pacing"
 	"mcgc/internal/vtime"
 )
 
@@ -152,22 +151,12 @@ type Report struct {
 	TraceDedicatedWords int64
 
 	// Pacing (Section 3) results; meaningful when PacingEnabled.
-	// PacingPolicy names the policy in charge ("formula", "slo", "none").
 	PacingEnabled   bool
-	PacingPolicy    string
 	Kickoffs        int64   // cycles started by free < (L+M)/K0
 	PacedIncrements int64   // allocation increments that consulted the pacer
 	KFirst, KLast   float64 // progress-formula rate at the first/last increment
 	KMin, KMax      float64 // rate range over the run
 	CorrectiveMax   float64 // largest (K-K0)*C catch-up addition applied
-
-	// SLO-controller results; meaningful when PacingPolicy is "slo".
-	// SLOWindows counts latency windows the policy observed (SLOOverTarget
-	// of them above the target); SLOBgFactor is the background-throttle
-	// factor in effect at the end of the run.
-	SLOWindows    int64
-	SLOOverTarget int64
-	SLOBgFactor   float64
 
 	// Wedged reports that the termination watchdog aborted the run;
 	// WedgePhase and WedgeDiagnosis say where and what the state looked like.
@@ -194,7 +183,7 @@ func (e *Engine) noteSTW(start, end int64) {
 	if d > e.report.STWMax {
 		e.report.STWMax = d
 	}
-	// Same gauge name as the simulator backend, so gcstats -metrics computes
+	// Same gauge name as the simulator backend, so gcstats metrics computes
 	// pause percentiles and MMU for live runs unchanged.
 	e.cfg.Reg.Gauge("gc.pause_ns").Sample(vtime.Time(start), float64(end-start))
 }
@@ -248,20 +237,12 @@ func (e *Engine) finishReport() {
 	r.TraceDedicatedWords = s.traceDedicatedWords.Load()
 	if e.pacer != nil {
 		r.PacingEnabled = true
-		r.PacingPolicy = pacing.Name(e.pacer.policy())
 		r.Kickoffs = s.kickoffs.Load()
 		sum := e.pacer.summary()
 		r.PacedIncrements = sum.increments
 		r.KFirst, r.KLast = sum.kFirst, sum.kLast
 		r.KMin, r.KMax = sum.kMin, sum.kMax
 		r.CorrectiveMax = sum.correctiveMax
-		if st, ok := e.pacer.sloStats(); ok {
-			r.SLOWindows = st.Windows
-			r.SLOOverTarget = st.OverTarget
-			r.SLOBgFactor = st.BgFactor
-		}
-	} else {
-		r.PacingPolicy = "none"
 	}
 
 	cs := &e.arena.Cards.AtomicStats
@@ -320,12 +301,8 @@ func (r Report) String() string {
 			r.PoolLocalHits, r.PoolSteals, r.PoolSpills, r.PoolRefills, r.ArenaShardSteals, r.CardBufferFlushes)
 	}
 	if r.PacingEnabled {
-		out += fmt.Sprintf("\npacing[%s]: kickoffs %d  increments %d  K first %.2f  last %.2f  range [%.2f, %.2f]  corrective max %.2f",
-			r.PacingPolicy, r.Kickoffs, r.PacedIncrements, r.KFirst, r.KLast, r.KMin, r.KMax, r.CorrectiveMax)
-	}
-	if r.PacingPolicy == "slo" {
-		out += fmt.Sprintf("\nslo: windows %d  over target %d  bg factor %.2f",
-			r.SLOWindows, r.SLOOverTarget, r.SLOBgFactor)
+		out += fmt.Sprintf("\npacing: kickoffs %d  increments %d  K first %.2f  last %.2f  range [%.2f, %.2f]  corrective max %.2f",
+			r.Kickoffs, r.PacedIncrements, r.KFirst, r.KLast, r.KMin, r.KMax, r.CorrectiveMax)
 	}
 	if r.BackpressureWaits+r.EmergencyCycles > 0 {
 		out += fmt.Sprintf("\nladder: backpressure waits %d (timeouts %d, stalled %v)  emergency cycles %d  time bp/emerg %v/%v",

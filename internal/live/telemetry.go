@@ -9,7 +9,7 @@ import (
 // since Run started (the vtime axis of the sinks is just "ns"). Only the
 // driver goroutine records, so the unsynchronized Registry/Timeline
 // contract holds. Spans are recorded at completion time, which puts an
-// enclosing span (cycle) after its children in the file — gcstats -check
+// enclosing span (cycle) after its children in the file — gcstats check
 // orders and nests per track rather than assuming file order.
 const (
 	gcTrack   = telemetry.GlobalTrackBase     // cycle + phase spans
@@ -70,7 +70,7 @@ func (e *Engine) flushTelemetry() {
 	}
 	r := &e.report
 	set := func(name string, v int64) { reg.Counter(name).Set(v) }
-	// run.vtime_ns is what gcstats -metrics divides pauses by for MMU; the
+	// run.vtime_ns is what gcstats metrics divides pauses by for MMU; the
 	// live engine's "virtual" time is wall time since Run started.
 	set("run.vtime_ns", e.now())
 	set("live.cycles", int64(r.Cycles))
@@ -131,18 +131,9 @@ func (e *Engine) flushTelemetry() {
 			gBest.Sample(t, s.best)
 		}
 	}
-	// SLO-controller counters: how many latency windows the policy saw and
-	// how many crossed the target, plus the final throttle factor. gcserve's
-	// -require-slo asserts on the same numbers from the Report.
-	if r.PacingPolicy == "slo" {
-		set("gc.slo.enabled", 1)
-		set("gc.slo.windows", r.SLOWindows)
-		set("gc.slo.over_target", r.SLOOverTarget)
-		reg.Gauge("gc.slo.bg_factor").Sample(vtime.Time(e.now()), r.SLOBgFactor)
-	}
 	// Degradation ladder: counters, time-in-state, the state gauge (one
 	// sample per transition, starting at ok) and the backpressure stall
-	// distribution — everything gcstats -degradation reads back.
+	// distribution — everything gcstats degradation reads back.
 	set("gc.backpressure_ns", r.BackpressureTotal.Nanoseconds())
 	set("gc.backpressure_waits", r.BackpressureWaits)
 	set("gc.backpressure_timeouts", r.BackpressureTimeouts)
@@ -171,7 +162,7 @@ func (e *Engine) flushTelemetry() {
 	}
 	e.flushWorkerTelemetry()
 	// Per-site fault-injection counters, so a chaos run's metrics file records
-	// which faults actually fired (gcstats -metrics prints them; chaos-smoke
+	// which faults actually fired (gcstats metrics prints them; chaos-smoke
 	// asserts them nonzero).
 	for _, p := range r.Faults {
 		set("fault."+p.Name+".hits", p.Hits)

@@ -3,7 +3,6 @@ package pacing
 import (
 	"flag"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -16,7 +15,7 @@ func newTestFlagSet() *flag.FlagSet {
 func TestBindCanonicalNames(t *testing.T) {
 	cfg := Default()
 	fs := newTestFlagSet()
-	f := Bind(fs, &cfg)
+	Bind(fs, &cfg)
 	err := fs.Parse([]string{
 		"-k0", "6", "-kmax", "20", "-tracing-c", "2",
 		"-smooth-alpha", "0.5", "-dirty-fraction", "0.1",
@@ -28,9 +27,6 @@ func TestBindCanonicalNames(t *testing.T) {
 	if cfg.K0 != 6 || cfg.KMax != 20 || cfg.C != 2 || cfg.SmoothAlpha != 0.5 ||
 		cfg.InitialDirtyFraction != 0.1 || cfg.Headroom != 1024 || cfg.BestWindow != 2048 {
 		t.Errorf("flags did not parse into config: %+v", cfg)
-	}
-	if hints := f.Hints(); len(hints) != 0 {
-		t.Errorf("canonical names produced migration hints: %v", hints)
 	}
 }
 
@@ -47,65 +43,15 @@ func TestBindDefaultsFromConfig(t *testing.T) {
 	}
 }
 
-func TestTracingRateSynonym(t *testing.T) {
-	cfg := Default()
-	fs := newTestFlagSet()
-	f := Bind(fs, &cfg)
-	if err := fs.Parse([]string{"-tracing-rate", "5"}); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.K0 != 5 {
-		t.Errorf("-tracing-rate did not set K0: %v", cfg.K0)
-	}
-	if hints := f.Hints(); len(hints) != 0 {
-		t.Errorf("synonym produced migration hints: %v", hints)
-	}
-}
-
-func TestDeprecatedAlias(t *testing.T) {
-	cfg := Default()
-	fs := newTestFlagSet()
-	f := Bind(fs, &cfg)
-	f.Alias("rate", "k0")
-	if err := fs.Parse([]string{"-rate", "4"}); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.K0 != 4 {
-		t.Errorf("deprecated alias did not set K0: %v", cfg.K0)
-	}
-	hints := f.Hints()
-	if len(hints) != 1 || !strings.Contains(hints[0], "-rate") || !strings.Contains(hints[0], "-k0") {
-		t.Errorf("want one -rate -> -k0 migration hint, got %v", hints)
-	}
-	var sb strings.Builder
-	f.PrintHints(&sb, "gcsim")
-	if got := sb.String(); !strings.HasPrefix(got, "gcsim: ") {
-		t.Errorf("PrintHints output %q lacks the program prefix", got)
-	}
-}
-
-func TestAliasNotUsedNoHint(t *testing.T) {
-	cfg := Default()
-	fs := newTestFlagSet()
-	f := Bind(fs, &cfg)
-	f.Alias("rate", "k0")
-	if err := fs.Parse([]string{"-k0", "9"}); err != nil {
-		t.Fatal(err)
-	}
-	if hints := f.Hints(); len(hints) != 0 {
-		t.Errorf("unused alias produced hints: %v", hints)
-	}
-}
-
 func TestBindRateOnly(t *testing.T) {
 	k0 := 8.0
 	fs := newTestFlagSet()
 	BindRate(fs, &k0)
-	if err := fs.Parse([]string{"-tracing-rate", "3"}); err != nil {
+	if err := fs.Parse([]string{"-k0", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	if k0 != 3 {
-		t.Errorf("BindRate synonym did not set k0: %v", k0)
+		t.Errorf("BindRate did not set k0: %v", k0)
 	}
 	if fs.Lookup("kmax") != nil {
 		t.Error("BindRate registered the full vocabulary")

@@ -12,13 +12,11 @@
 // other, so any consistent unit works; absolute defaults that depend on the
 // unit (the Best sampling window) are configurable.
 //
-// The package is organized around the Policy interface (policy.go): the
-// decision surface a backend drives. FormulaPolicy below is the paper's
-// policy — pure heap geometry; SLOPolicy (slo.go) wraps a FormulaPolicy
-// with a latency-feedback controller. A policy is single-threaded: the
-// simulator calls it from one goroutine by construction, and concurrent
-// backends must wrap it in their own lock (see internal/live's pacer gate).
-// Two call styles are offered:
+// FormulaPolicy is the one policy, and both backends drive it directly: the
+// simulator (internal/core) and the live engine (internal/live). It is
+// single-threaded: the simulator calls it from one goroutine by
+// construction, and the live engine wraps it in its own lock (see
+// internal/live's pacer gate). Two call styles are offered:
 //
 //   - The high-level entry points Kickoff, IncrementBudget, EndIncrement and
 //     NoteBackgroundWork are the whole protocol for a backend that taxes
@@ -165,8 +163,6 @@ type FormulaPolicy struct {
 	windowAlloc int64
 	windowBg    int64
 }
-
-var _ Policy = (*FormulaPolicy)(nil)
 
 // NewFormula builds the Section 3 formula policy over the given heap view.
 func NewFormula(cfg Config, heap HeapView) *FormulaPolicy {

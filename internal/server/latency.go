@@ -10,7 +10,7 @@ import (
 )
 
 // DefaultWindow is the bucketing interval for the per-window worst request
-// latency — the series gcstats -latency correlates against GC pauses.
+// latency — the series gcstats latency correlates against GC pauses.
 const DefaultWindow = 20 * time.Millisecond
 
 // DefaultLatencyBounds returns the shared request-latency histogram bounds:

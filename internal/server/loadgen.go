@@ -56,13 +56,6 @@ type LoadConfig struct {
 	// Admission is the overload-shedding policy (admission.go). The zero
 	// value keeps it disabled: requests fail only on heap exhaustion.
 	Admission AdmissionConfig
-	// WindowObserver, when non-nil, receives each completed latency
-	// window's worst request latency (nanoseconds) live during the run — a
-	// feeder goroutine walks the per-window maxima one window behind the
-	// clock and skips empty windows. This is the feedback signal for the
-	// SLO pacing policy: wire it to pacing.LatencyObserver.ObserveLatency.
-	// The callback must be safe for concurrent use with the run.
-	WindowObserver func(maxNs int64)
 	// Seed derives each client's private request stream.
 	Seed uint64
 	// Duration should match the engine run length; it sizes the
@@ -99,9 +92,6 @@ type LoadGen struct {
 	windows []atomic.Int64
 	start   time.Time
 	wg      sync.WaitGroup
-	// feedDone closes when the window-feeder goroutine (WindowObserver set)
-	// has exited; nil when no observer is wired.
-	feedDone chan struct{}
 }
 
 // NewLoadGen wires a generator to an engine and store. Call Start before
@@ -154,43 +144,11 @@ func (lg *LoadGen) Start() {
 		}
 		go c.run()
 	}
-	if lg.cfg.WindowObserver != nil {
-		lg.feedDone = make(chan struct{})
-		go lg.feedWindows()
-	}
-}
-
-// feedWindows streams completed latency windows to the configured observer.
-// It trails the clock by one full window so most of a window's requests have
-// posted their maxima before it is read; a request that outlives the lag
-// (latency beyond one window) updates a slot the feeder already consumed
-// and is seen by the end-of-run Results only. That approximation is fine
-// for a control signal — the smoothed trend is what the policy consumes.
-func (lg *LoadGen) feedWindows() {
-	defer close(lg.feedDone)
-	t := time.NewTicker(lg.cfg.Window)
-	defer t.Stop()
-	next := 0
-	for !lg.eng.ShuttingDown() {
-		<-t.C
-		done := int(time.Since(lg.start)/lg.cfg.Window) - 1
-		for ; next <= done && next < len(lg.windows); next++ {
-			if v := lg.windows[next].Load(); v > 0 {
-				lg.cfg.WindowObserver(v)
-			}
-		}
-	}
 }
 
 // Wait blocks until every client has retired and merges their recorders.
 func (lg *LoadGen) Wait() Results {
 	lg.wg.Wait()
-	if lg.feedDone != nil {
-		// The feeder exits within one window of ShuttingDown flipping; wait
-		// for it so the observer callback never races the driver's
-		// post-run telemetry flush.
-		<-lg.feedDone
-	}
 	res := Results{
 		Hist:     newRecorder(lg.bounds).hist,
 		WindowNs: int64(lg.cfg.Window),

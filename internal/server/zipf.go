@@ -7,7 +7,7 @@
 // GET/PUT/DELETE/session-touch requests with Zipfian key skew, request
 // bursts and connection churn. Every request is timed; the recorder reduces
 // the latencies to the server.req_ns histogram and server.* counters the
-// telemetry pipeline serializes and gcstats -latency reads back.
+// telemetry pipeline serializes and gcstats latency reads back.
 package server
 
 import (

@@ -9,7 +9,7 @@ package workpack
 // local cache, or a steal from a sibling's window), what it produced and
 // traced, and where its time went (idle spin between pops, synchronization
 // inside the shared pool). The live engine snapshots ledgers per cycle and
-// the gcstats -balance view reduces them to skew, idle fraction, steal-hit
+// the gcstats balance view reduces them to skew, idle fraction, steal-hit
 // rate and termination latency.
 //
 // The ledger follows the telemetry layer's nil discipline: a nil *Ledger is
